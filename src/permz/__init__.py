@@ -10,99 +10,30 @@ higher-level analytics and experiment harness (:mod:`permz.analysis`,
 
 __version__ = "0.1.0"
 
+from . import analysis, entropy, ordinal
 from .errors import DataError, NumericalError, PermzError, ValidationError
-from .ordinal import (
-    CensusTrace,
-    OrdinalPattern,
-    PatternDistribution,
-    census_trace,
-    lehmer_decode,
-    lehmer_encode,
-    pattern_census,
-    rank_vector,
-    visible_curve,
-    window_codes,
-)
-from .entropy import (
-    ComplexityClass,
-    EntropyReport,
-    RateFit,
-    entropy_rate_estimate,
-    entropy_report,
-    exp_iterated,
-    lambert_n,
-    lambert_w,
-    log_iterated,
-    renyi_entropy,
-    shannon_permutation_entropy,
-    z_entropy,
-    z_topological,
-)
+from .ordinal import *  # noqa: F403
+from .entropy import *  # noqa: F403
 from .processes import ProcessSpec, derive_seed, fgn_autocovariance, generate, with_seed
-from .analysis import (
-    ClassConstantFit,
-    DecayFit,
-    XpAnalytics,
-    estimate_class_constant,
-    fit_decay,
-    forbidden_patterns_of_map,
-    missing_series,
-    pc_function_trace,
-    stabilized_census,
-    xp_allowed_count,
-    xp_class_constant,
-    xp_distribution,
-    xp_pattern_probabilities,
-)
+from .analysis import *  # noqa: F403
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
+# The public API: the errors, every public name of ordinal, entropy and
+# analysis, and a selection from processes and experiments.
 __all__ = [
     "__version__",
     "PermzError",
     "ValidationError",
     "DataError",
     "NumericalError",
-    "OrdinalPattern",
-    "PatternDistribution",
-    "CensusTrace",
-    "rank_vector",
-    "lehmer_encode",
-    "lehmer_decode",
-    "window_codes",
-    "pattern_census",
-    "visible_curve",
-    "census_trace",
-    "ComplexityClass",
-    "EntropyReport",
-    "RateFit",
-    "lambert_w",
-    "lambert_n",
-    "exp_iterated",
-    "log_iterated",
-    "renyi_entropy",
-    "shannon_permutation_entropy",
-    "z_entropy",
-    "z_topological",
-    "entropy_report",
-    "entropy_rate_estimate",
+    *ordinal.__all__,
+    *entropy.__all__,
     "ProcessSpec",
     "generate",
     "fgn_autocovariance",
     "derive_seed",
     "with_seed",
-    "DecayFit",
-    "XpAnalytics",
-    "ClassConstantFit",
-    "missing_series",
-    "pc_function_trace",
-    "fit_decay",
-    "xp_allowed_count",
-    "xp_distribution",
-    "xp_class_constant",
-    "xp_pattern_probabilities",
-    "estimate_class_constant",
-    "forbidden_patterns_of_map",
-    "stabilized_census",
+    *analysis.__all__,
     "EXPERIMENTS",
     "ExperimentConfig",
     "run_experiment",

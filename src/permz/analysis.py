@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, ValidationError
 from .ordinal import CensusTrace, OrdinalPattern, PatternDistribution, window_codes
-from .processes import ProcessSpec, derive_seed, generate
+from .processes import ProcessSpec, derive_seed, dither_kicks, generate, map_orbit
 from .rng import Stream
 
 __all__ = [
@@ -351,32 +351,11 @@ def _orbit_batch(spec: ProcessSpec, n_orbits: int, orbit_len: int) -> np.ndarray
             for i in range(n_orbits)
         ]
         return np.vstack(rows)
-    u = Stream(spec.seed).uniforms(n_orbits)
-    x0 = 1e-6 + (1.0 - 2e-6) * u
-    out = np.empty((n_orbits, orbit_len))
-    v = x0.copy()
-    if spec.kind == "logistic":
-        for t in range(orbit_len):
-            out[:, t] = v
-            v = 4.0 * v * (1.0 - v)
-        return out
-    # piecewise-linear zigzag; dither kicks drawn per orbit stream
-    sigma = spec.sigma
-    n_kicks = -(-orbit_len // 10_000)
-    kicks = (
-        np.vstack(
-            [Stream(derive_seed(spec.seed, i + 1)).uniforms(n_kicks)
-             for i in range(n_orbits)]
-        )
-        if spec.dither
-        else None
-    )
-    for t in range(orbit_len):
-        if spec.dither and t % 10_000 == 0:
-            v = np.clip(v + (2.0 * kicks[:, t // 10_000] - 1.0) * 1e-14, 0.0, 1.0)
-        out[:, t] = v
-        v = 1.0 - np.abs((sigma * v) % 2.0 - 1.0)
-    return out
+    x0 = 1e-6 + (1.0 - 2e-6) * Stream(spec.seed).uniforms(n_orbits)
+    kicks = [dither_kicks(spec, derive_seed(spec.seed, i + 1), orbit_len)
+             for i in range(n_orbits)]  # one kick stream per orbit
+    return map_orbit(spec, x0, orbit_len,
+                     None if kicks[0] is None else np.vstack(kicks))
 
 
 def forbidden_patterns_of_map(
@@ -426,6 +405,10 @@ def stabilized_census(
     stops when no pattern's probability moved by more than ``tol``.
     Otherwise it runs through the whole series.  The consumed window
     count is ``total_windows`` of the result.
+
+    The early exit is a windowing rule, not a work saving: all
+    ``N - L + 1`` windows are coded first, and the rule only decides how
+    many of them are counted.
     """
     codes = window_codes(series, L)
     n = codes.size

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,9 @@ from . import __version__
 from .analysis import fit_decay, stabilized_census, xp_distribution
 from .entropy import ComplexityClass, entropy_report
 from .errors import DataError, PermzError, ValidationError
-from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment, _pmap
+from .experiments import (
+    EXPERIMENTS, ExperimentConfig, missing_curves, run_ensemble, run_experiment,
+)
 from .ordinal import census_trace, lehmer_decode, pattern_census
 from .processes import KINDS, ProcessSpec, derive_seed, generate, with_seed
 
@@ -83,16 +86,20 @@ def write_series(path: str, series: np.ndarray) -> None:
         raise DataError(f"cannot write series file {path}: {exc}") from exc
 
 
-def _write_sidecar(path: str, config: RunConfig) -> None:
-    sidecar = Path(str(path) + ".json")
+def _write_sidecar(args) -> None:
+    """Record the invocation beside ``args.output`` as ``<output>.json``."""
+    options = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    config = RunConfig(command=args.command, version=__version__, options=options)
+    sidecar = Path(str(args.output) + ".json")
     try:
         sidecar.write_text(config.to_json() + "\n")
     except OSError as exc:
         raise DataError(f"cannot write sidecar {sidecar}: {exc}") from exc
 
 
-def _emit(header: list[str], rows: list[list], fmt: str, output: str | None) -> None:
-    if fmt == "csv":
+def _emit(header: list[str], rows: list[list], args) -> None:
+    """Write the table to ``args.output``, with a sidecar, or to stdout."""
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
@@ -102,11 +109,12 @@ def _emit(header: list[str], rows: list[list], fmt: str, output: str | None) -> 
         text = json.dumps(
             [dict(zip(header, row)) for row in rows], indent=2, default=str
         ) + "\n"
-    if output:
+    if args.output:
         try:
-            Path(output).write_text(text)
+            Path(args.output).write_text(text)
         except OSError as exc:
-            raise DataError(f"cannot write output {output}: {exc}") from exc
+            raise DataError(f"cannot write output {args.output}: {exc}") from exc
+        _write_sidecar(args)
     else:
         sys.stdout.write(text)
 
@@ -179,13 +187,6 @@ def _spec_from_args(args, default_length: int | None = None) -> ProcessSpec:
     )
 
 
-def _run_config(args, command: str) -> RunConfig:
-    options = {
-        k: v for k, v in vars(args).items() if k != "func" and v is not None
-    }
-    return RunConfig(command=command, version=__version__, options=options)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -195,33 +196,24 @@ def _cmd_generate(args) -> int:
     series = generate(spec)
     if args.output:
         write_series(args.output, series)
-        config = _run_config(args, "generate")
-        _write_sidecar(args.output, config)
+        _write_sidecar(args)
     else:
         for v in series:
             sys.stdout.write(f"{v:.17g}\n")
     return 0
 
 
-def _load_ensemble(args, default_length: int | None):
-    """Input files, or seeded realizations of a process spec."""
+def _load_sources(args, default_length: int) -> tuple[str, list]:
+    """A label and the ensemble sources: the series of the input files,
+    or seeded realizations of a process spec, generated by the engine."""
     if args.input:
-        return [(path, read_series(path)) for path in args.input]
+        return args.input[0], [read_series(path) for path in args.input]
     spec = _spec_from_args(args, default_length)
-    n = args.realizations
-
-    members = _pmap(
-        _generate_member,
-        [(spec, derive_seed(args.seed, i)) for i in range(n)],
-        args.jobs,
-    )
-    label = args.process
-    return [(f"{label}[{i}]", x) for i, x in enumerate(members)]
-
-
-def _generate_member(item):
-    spec, seed = item
-    return generate(with_seed(spec, seed))
+    if args.realizations < 1:
+        raise ValidationError("realizations must be at least 1")
+    return args.process, [
+        with_seed(spec, derive_seed(args.seed, i)) for i in range(args.realizations)
+    ]
 
 
 def _cmd_census(args) -> int:
@@ -248,12 +240,11 @@ def _cmd_census(args) -> int:
              f"{cnt / dist.total_windows:.8f}"]
             for code, cnt in sorted(dist.counts.items())
         ]
-    _emit(header, rows, args.format, args.output)
+    _emit(header, rows, args)
     return 0
 
 
-def _entropy_member(item):
-    series, orders, alphas, cls, stabilized = item
+def _entropy_member(series, orders, alphas, cls, stabilized) -> dict:
     out = {}
     for L in orders:
         dist = stabilized_census(series, L) if stabilized else pattern_census(series, L)
@@ -267,16 +258,14 @@ def _cmd_entropy(args) -> int:
     cls = ComplexityClass.parse(getattr(args, "class"))
     orders = _parse_orders(args.orders)
     alphas = _parse_alphas(args.alpha)
-    ensemble = _load_ensemble(args, default_length=50_000)
-    items = [
-        (series, orders, alphas, cls, args.stabilized)
-        for _, series in ensemble
-    ]
-    members = _pmap(_entropy_member, items, args.jobs)
+    label, sources = _load_sources(args, default_length=50_000)
+    measure = partial(_entropy_member, orders=orders, alphas=alphas, cls=cls,
+                      stabilized=args.stabilized)
+    members = run_ensemble(measure, sources, args.jobs, label)
 
     if len(members) == 1:
         header = ["source", "class", "L", "alpha", "renyi", "z", "z_over_L"]
-        label = ensemble[0][0]
+        label = label if args.input else f"{label}[0]"
         rows = [
             [label, cls.token(), L, f"{alpha:g}",
              f"{members[0][(L, alpha)][0]:.6f}",
@@ -298,24 +287,16 @@ def _cmd_entropy(args) -> int:
                         data.mean(axis=0), data.std(axis=0)
                     ) for v in pair]
                 )
-    _emit(header, rows, args.format, args.output)
+    _emit(header, rows, args)
     return 0
-
-
-def _missing_member(item):
-    import math as _math
-
-    series, L = item
-    from .ordinal import visible_curve
-
-    return _math.factorial(L) - visible_curve(series, L)
 
 
 def _cmd_decay(args) -> int:
     L = args.order
-    ensemble = _load_ensemble(args, default_length=7_000)
-    curves = _pmap(_missing_member, [(series, L) for _, series in ensemble],
-                   args.jobs)
+    label, sources = _load_sources(args, default_length=7_000)
+    members = run_ensemble(partial(missing_curves, orders=(L,)), sources,
+                           args.jobs, label)
+    curves = [m[L] for m in members]
     lengths = {len(c) for c in curves}
     if len(lengths) != 1:
         raise DataError("ensemble members must share one series length")
@@ -327,11 +308,10 @@ def _cmd_decay(args) -> int:
     )
     header = ["source", "L", "model", "R", "C", "beta", "T_min", "T_max",
               "residual", "n_points", "realizations"]
-    label = args.input[0] if args.input else args.process
     rows = [[label, L, fit.model, f"{fit.R:.6e}", f"{fit.C:.6e}",
              f"{fit.beta:.4f}", fit.fit_range[0], fit.fit_range[1],
              f"{fit.residual:.5f}", fit.n_points, len(curves)]]
-    _emit(header, rows, args.format, args.output)
+    _emit(header, rows, args)
     return 0
 
 
@@ -376,7 +356,7 @@ def _cmd_xp(args) -> int:
              d.allowed, f"{d.c:.6f}"]
             + [f"{d.renyi(a):.6f}" for a in alphas]
         )
-    _emit(header, rows, args.format, args.output)
+    _emit(header, rows, args)
     return 0
 
 

@@ -3,9 +3,18 @@
 Each experiment produces plot-ready CSV tables plus a JSON metadata
 sidecar recording the full configuration, the seed scheme and the
 runtime.  Ensemble members are seeded ``base + 1_000_003 * process_index
-+ realization_index``, so runs are reproducible and parallelizable; with
-``jobs > 1`` members are computed in a process pool and assembled in
-index order, making the output independent of completion order.
++ realization_index``, so runs are reproducible and parallelizable.
+
+Every ensemble, here and in the ``entropy`` and ``decay`` commands, runs
+through one engine, :func:`run_ensemble`: each member generates its
+series once from its :class:`ProcessSpec` (or takes a series read from
+a file), applies one measure to it, and the results come back in index
+order.  With ``jobs > 1`` members are computed in a process pool, so
+the output does not depend on completion order.  Errors keep their
+class: a package error raised by a member (a ValidationError for an
+order out of range, a NumericalError from a generator) propagates
+unchanged, and only foreign exceptions are wrapped as DataError naming
+the process.
 
 Experiments
 -----------
@@ -27,21 +36,25 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+# ordinal's functions are looked up through the module at call time, so a
+# wrapper installed on permz.ordinal (as tracing does) sees these calls
+from . import __version__, ordinal
 from .analysis import fit_decay, stabilized_census, xp_allowed_count, xp_class_constant
 from .entropy import ComplexityClass, z_entropy
-from .errors import DataError, ValidationError
-from .ordinal import visible_curve
-from .processes import ProcessSpec, generate, with_seed
+from .errors import DataError, PermzError, ValidationError
+from .processes import ProcessSpec, generate
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "ExperimentResult", "run_experiment",
+           "run_ensemble", "pool_size", "missing_curves",
            "FACTORIAL_PROCESSES", "TABLE2_REFERENCE"]
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "table1", "table2")
@@ -110,97 +123,150 @@ def member_seed(base: int, process_index: int, realization: int) -> int:
     )
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=1))
+# -- the ensemble engine ----------------------------------------------------
+
+def pool_size(jobs: int, members: int) -> int:
+    """Worker processes for an ensemble of ``members`` at ``jobs``: never
+    more than the members or the CPUs; 1 means no pool."""
+    if jobs < 1:
+        raise ValidationError("jobs must be at least 1")
+    return max(1, min(jobs, members, os.cpu_count() or 1))
 
 
-def _member_series(spec: ProcessSpec, length: int, seed: int) -> np.ndarray:
-    from dataclasses import replace
+def _measure_member(measure, source):
+    series = generate(source) if isinstance(source, ProcessSpec) else source
+    return measure(series)
 
-    return generate(replace(spec, length=length, seed=seed))
+
+def run_ensemble(measure, sources, jobs: int, label: str) -> list:
+    """``measure(series)`` for the series of every source, in index order.
+
+    A source is a :class:`ProcessSpec`, generated where it is measured,
+    or a series array.  With ``jobs > 1`` the members run in a process
+    pool, so ``measure`` must be picklable: a module-level function or a
+    :func:`functools.partial` of one.  Package errors propagate with
+    their class; any other exception becomes a :class:`DataError`
+    naming ``label``.
+    """
+    sources = list(sources)
+    workers = pool_size(jobs, len(sources))
+    task = partial(_measure_member, measure)
+    try:
+        if workers == 1:
+            return [task(source) for source in sources]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, sources, chunksize=1))
+    except PermzError:
+        raise
+    except Exception as exc:
+        raise DataError(f"process {label!r} failed: {exc}") from exc
 
 
-# -- fig1 -------------------------------------------------------------------
+def _ensemble(config: ExperimentConfig, j: int, name: str, spec: ProcessSpec,
+              length: int, measure) -> list:
+    """``measure`` over the realizations of process ``j`` of an experiment."""
+    specs = [replace(spec, length=length, seed=member_seed(config.seed, j, i))
+             for i in range(config.realizations)]
+    return run_ensemble(measure, specs, config.jobs, name)
 
-def _fig1_member(args):
-    spec, length, seed, orders, alphas = args
-    fac = ComplexityClass.factorial()
-    x = _member_series(spec, length, seed)
+
+# -- measures ---------------------------------------------------------------
+
+def _z_rates(series, orders, alphas, cls: ComplexityClass) -> dict:
+    """``Z_alpha / L`` of one series under ``cls``, keyed ``(L, alpha)``."""
     out = {}
     for L in orders:
-        dist = stabilized_census(x, L)
+        dist = stabilized_census(series, L)
         for alpha in alphas:
-            out[(L, alpha)] = z_entropy(dist, fac, alpha) / L
+            out[(L, alpha)] = z_entropy(dist, cls, alpha) / L
     return out
 
 
-def _experiment_fig1(config: ExperimentConfig):
+def _g_curve(series, L: int) -> np.ndarray:
+    return np.log(ordinal.visible_curve(series, L))
+
+
+def _g_curve_and_support(series, L: int) -> tuple[np.ndarray, set[int]]:
+    support = set(np.unique(ordinal.window_codes(series, L)).tolist())
+    return _g_curve(series, L), support
+
+
+def missing_curves(series, orders) -> dict[int, np.ndarray]:
+    """Missing-pattern count ``L! - A`` at every prefix length, per order."""
+    return {L: math.factorial(L) - ordinal.visible_curve(series, L) for L in orders}
+
+
+# -- fig1 / fig4 (Z-entropy rates) ------------------------------------------
+
+def _z_tables(stem: str, columns, orders, config: ExperimentConfig):
+    """Ensemble mean and spread of ``Z_alpha / L``, one table per alpha.
+
+    ``columns`` holds ``(label, spec, class, orders)`` per process; table
+    rows follow ``orders``, leaving a column empty at the orders it does
+    not measure.
+    """
     length = config.t_max or 50_000
     curves: dict[tuple[str, int, float], tuple[float, float]] = {}
-    for j, (name, spec) in enumerate(FACTORIAL_PROCESSES):
-        args = [
-            (spec, length, member_seed(config.seed, j, i), config.orders,
-             config.alphas)
-            for i in range(config.realizations)
-        ]
-        try:
-            members = _pmap(_fig1_member, args, config.jobs)
-        except Exception as exc:
-            raise DataError(f"process {name!r} failed: {exc}") from exc
-        for L in config.orders:
+    for j, (label, spec, cls, col_orders) in enumerate(columns):
+        measure = partial(_z_rates, orders=col_orders, alphas=config.alphas, cls=cls)
+        members = _ensemble(config, j, label, spec, length, measure)
+        for L in col_orders:
             for alpha in config.alphas:
                 vals = np.array([m[(L, alpha)] for m in members])
-                curves[(name, L, alpha)] = (float(vals.mean()), float(vals.std()))
+                curves[(label, L, alpha)] = (float(vals.mean()), float(vals.std()))
 
     tables = {}
     for alpha in config.alphas:
         header = ["L"]
-        for name, _ in FACTORIAL_PROCESSES:
-            header += [name, f"{name}_sd"]
+        for label, *_ in columns:
+            header += [label, f"{label}_sd"]
         rows = []
-        for L in config.orders:
+        for L in orders:
             row: list = [L]
-            for name, _ in FACTORIAL_PROCESSES:
-                mean, sd = curves[(name, L, alpha)]
-                row += [f"{mean:.6f}", f"{sd:.6f}"]
+            for label, *_ in columns:
+                if (label, L, alpha) in curves:
+                    mean, sd = curves[(label, L, alpha)]
+                    row += [f"{mean:.6f}", f"{sd:.6f}"]
+                else:
+                    row += ["", ""]
             rows.append(row)
-        tables[f"fig1_alpha{alpha:g}"] = (header, rows)
+        tables[f"{stem}_alpha{alpha:g}"] = (header, rows)
     summary = {
         "curves": {f"{n}|L{L}|a{a:g}": v[0] for (n, L, a), v in curves.items()}
     }
     return tables, summary
 
 
+def _experiment_fig1(config: ExperimentConfig):
+    fac = ComplexityClass.factorial()
+    columns = [(name, spec, fac, config.orders) for name, spec in FACTORIAL_PROCESSES]
+    return _z_tables("fig1", columns, config.orders, config)
+
+
+def _experiment_fig4(config: ExperimentConfig):
+    columns = [
+        (f"xp-{p}-{mu}", ProcessSpec("xp", length=1, period=p),
+         ComplexityClass.sub_factorial(xp_class_constant(p, mu)),
+         tuple(L for L in range(2, 15) if L % p == mu and L >= p))
+        for p, mu in _FIG4_SUBSEQUENCES
+    ]
+    all_orders = sorted({L for *_, orders in columns for L in orders})
+    tables, summary = _z_tables("fig4", columns, all_orders, config)
+    summary["orders"] = {label: list(orders) for label, *_, orders in columns}
+    return tables, summary
+
+
 # -- fig2 / fig3 (finite-length complexity function) ------------------------
-
-def _gcurve_member(args):
-    spec, length, seed, L = args
-    x = _member_series(spec, length, seed)
-    return np.log(visible_curve(x, L))
-
-
-def _mean_g_curves(process_list, config, length, L):
-    curves = {}
-    for j, (name, spec) in enumerate(process_list):
-        args = [
-            (spec, length, member_seed(config.seed, j, i), L)
-            for i in range(config.realizations)
-        ]
-        try:
-            members = _pmap(_gcurve_member, args, config.jobs)
-        except Exception as exc:
-            raise DataError(f"process {name!r} failed: {exc}") from exc
-        curves[name] = np.mean(np.vstack(members), axis=0)
-    return curves
-
 
 def _experiment_fig2(config: ExperimentConfig):
     length = config.t_max or 7_000
     L = 6
-    curves = _mean_g_curves(FACTORIAL_PROCESSES, config, length, L)
+    curves = {
+        name: np.mean(np.vstack(
+            _ensemble(config, j, name, spec, length, partial(_g_curve, L=L))
+        ), axis=0)
+        for j, (name, spec) in enumerate(FACTORIAL_PROCESSES)
+    }
     ts = np.arange(L, length + 1)
     emit = (ts % 50 == 0) | (ts == L)
     header = ["T"] + [name for name, _ in FACTORIAL_PROCESSES]
@@ -216,14 +282,6 @@ def _experiment_fig2(config: ExperimentConfig):
     return {"fig2_g6": (header, rows)}, summary
 
 
-def _xp_union_member(args):
-    spec, length, seed, L = args
-    from .ordinal import window_codes
-
-    x = _member_series(spec, length, seed)
-    return set(np.unique(window_codes(x, L)).tolist())
-
-
 def _experiment_fig3(config: ExperimentConfig):
     length = config.t_max or 50
     L = 6
@@ -233,17 +291,12 @@ def _experiment_fig3(config: ExperimentConfig):
     process_list = [
         (f"xp-p{p}", ProcessSpec("xp", length=1, period=p)) for p in periods
     ]
-    curves = _mean_g_curves(process_list, config, length, L)
-    supports = {}
+    curves, supports = {}, {}
     for j, (name, spec) in enumerate(process_list):
-        args = [
-            (spec, length, member_seed(config.seed, j, i), L)
-            for i in range(config.realizations)
-        ]
-        seen: set[int] = set()
-        for member in _pmap(_xp_union_member, args, config.jobs):
-            seen |= member
-        supports[name] = len(seen)
+        members = _ensemble(config, j, name, spec, length,
+                            partial(_g_curve_and_support, L=L))
+        curves[name] = np.mean(np.vstack([g for g, _ in members]), axis=0)
+        supports[name] = len(set().union(*(seen for _, seen in members)))
     ts = np.arange(L, length + 1)
     header = ["T"] + [name for name, _ in process_list]
     rows = [
@@ -265,95 +318,17 @@ def _experiment_fig3(config: ExperimentConfig):
     }, summary
 
 
-# -- fig4 -------------------------------------------------------------------
-
-def _fig4_member(args):
-    spec, length, seed, orders, alphas, c = args
-    sub = ComplexityClass.sub_factorial(c)
-    x = _member_series(spec, length, seed)
-    out = {}
-    for L in orders:
-        dist = stabilized_census(x, L)
-        for alpha in alphas:
-            out[(L, alpha)] = z_entropy(dist, sub, alpha) / L
-    return out
-
-
-def _experiment_fig4(config: ExperimentConfig):
-    length = config.t_max or 50_000
-    curves: dict[tuple[str, int, float], tuple[float, float]] = {}
-    labels = []
-    orders_by_label = {}
-    for j, (p, mu) in enumerate(_FIG4_SUBSEQUENCES):
-        label = f"xp-{p}-{mu}"
-        labels.append(label)
-        orders = tuple(
-            L for L in range(2, 15) if L % p == mu and L >= p
-        )
-        orders_by_label[label] = orders
-        c = xp_class_constant(p, mu)
-        spec = ProcessSpec("xp", length=1, period=p)
-        args = [
-            (spec, length, member_seed(config.seed, j, i), orders,
-             config.alphas, c)
-            for i in range(config.realizations)
-        ]
-        try:
-            members = _pmap(_fig4_member, args, config.jobs)
-        except Exception as exc:
-            raise DataError(f"process {label!r} failed: {exc}") from exc
-        for L in orders:
-            for alpha in config.alphas:
-                vals = np.array([m[(L, alpha)] for m in members])
-                curves[(label, L, alpha)] = (float(vals.mean()), float(vals.std()))
-
-    tables = {}
-    all_orders = sorted({L for orders in orders_by_label.values() for L in orders})
-    for alpha in config.alphas:
-        header = ["L"]
-        for label in labels:
-            header += [label, f"{label}_sd"]
-        rows = []
-        for L in all_orders:
-            row: list = [L]
-            for label in labels:
-                if (label, L, alpha) in curves:
-                    mean, sd = curves[(label, L, alpha)]
-                    row += [f"{mean:.6f}", f"{sd:.6f}"]
-                else:
-                    row += ["", ""]
-            rows.append(row)
-        tables[f"fig4_alpha{alpha:g}"] = (header, rows)
-    summary = {
-        "curves": {f"{n}|L{L}|a{a:g}": v[0] for (n, L, a), v in curves.items()},
-        "orders": {k: list(v) for k, v in orders_by_label.items()},
-    }
-    return tables, summary
-
-
 # -- table1 -----------------------------------------------------------------
-
-def _missing_curve_member(args):
-    spec, length, seed, L = args
-    x = _member_series(spec, length, seed)
-    return math.factorial(L) - visible_curve(x, L)
-
 
 def _experiment_table1(config: ExperimentConfig):
     length = config.t_max or 7_000
     orders = (4, 5, 6)
     fits: dict[tuple[str, int], object] = {}
     for j, (name, spec) in enumerate(FACTORIAL_PROCESSES):
+        members = _ensemble(config, j, name, spec, length,
+                            partial(missing_curves, orders=orders))
         for L in orders:
-            args = [
-                (spec, length, member_seed(config.seed, j, i), L)
-                for i in range(config.realizations)
-            ]
-            try:
-                members = _pmap(_missing_curve_member, args, config.jobs)
-            except Exception as exc:
-                raise DataError(f"process {name!r} failed: {exc}") from exc
-            mean_m = np.mean(np.vstack(members), axis=0)
+            mean_m = np.mean(np.vstack([m[L] for m in members]), axis=0)
             ts = np.arange(L, length + 1)
             fits[(name, L)] = fit_decay(list(zip(ts, mean_m)), L)
     header = ["process"] + [f"R_L{L}" for L in orders] + [

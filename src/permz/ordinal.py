@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _CHUNK_WINDOWS = 1 << 20
+_MAX_ORDER = 20  # 21! - 1 overflows the int64 codes
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,8 @@ def window_codes(series, L: int) -> np.ndarray:
     """Lehmer codes of every stride-1 window of the series."""
     if L < 2:
         raise ValidationError("order L must be at least 2")
+    if L > _MAX_ORDER:
+        raise ValidationError(f"order L must be at most {_MAX_ORDER}")
     x = _as_series(series)
     if x.size < L:
         raise DataError(f"series of length {x.size} is shorter than L={L}")

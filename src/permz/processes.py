@@ -16,8 +16,8 @@ documented draw order per kind:
 * ``xp``                -- T uniforms; each maps to noise uniform on
   (-delta/2, delta/2) except at the noiseless residues, where the
   sample is exact (the uniform is still consumed).
-* ``piecewise-linear``  -- one uniform per started block of 10^4 steps
-  when dithering is enabled.
+* ``piecewise-linear``  -- one uniform per started block of
+  ``_DITHER_PERIOD`` steps when dithering is enabled.
 * ``logistic``          -- none (pure orbit of 4x(1-x)).
 * ``shift``             -- T+52 stream bits; sample t is the 53-bit
   window 0.b_t..b_{t+52}, a typical orbit of x -> 2x mod 1 evaluated
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,6 +44,8 @@ __all__ = [
     "fgn_autocovariance",
     "derive_seed",
     "with_seed",
+    "map_orbit",
+    "dither_kicks",
 ]
 
 KINDS = (
@@ -59,6 +62,8 @@ KINDS = (
 
 _DITHER_SCALE = 1e-14
 _DITHER_PERIOD = 10_000
+_DEFAULT_X0 = 0.2002
+_NOISE_AMPLITUDE = {"noisy-logistic": 0.30, "noisy-schuster": 0.25}
 _XP_AMPLITUDE_MARGIN = 1e-9  # keeps noise strictly below delta/2
 
 
@@ -113,6 +118,7 @@ class ProcessSpec:
         if self.kind in ("noisy-logistic", "noisy-schuster"):
             if self.amplitude is not None and self.amplitude < 0:
                 raise ValidationError("amplitude must be nonnegative")
+        if self.kind in ("noisy-logistic", "noisy-schuster", "logistic"):
             if self.x0 is not None and not 0.0 < self.x0 < 1.0:
                 raise ValidationError("x0 must lie inside (0, 1)")
         if self.kind == "xp":
@@ -132,9 +138,6 @@ class ProcessSpec:
                 raise ValidationError("sigma must exceed 1")
             if self.x0 is not None and not 0.0 <= self.x0 <= 1.0:
                 raise ValidationError("x0 must lie in [0, 1]")
-        if self.kind == "logistic":
-            if self.x0 is not None and not 0.0 < self.x0 < 1.0:
-                raise ValidationError("x0 must lie inside (0, 1)")
 
     @property
     def is_deterministic(self) -> bool:
@@ -198,48 +201,73 @@ def _fgn(n: int, hurst: float, stream: Stream) -> np.ndarray:
     return np.fft.fft(w)[:n].real
 
 
-def _logistic_orbit(x0: float, n: int) -> np.ndarray:
-    y = np.empty(n)
-    v = x0
-    for t in range(n):
-        y[t] = v
-        v = 4.0 * v * (1.0 - v)
-    return y
+def _logistic(v):
+    return 4.0 * v * (1.0 - v)
 
 
-def _schuster_orbit(x0: float, n: int) -> np.ndarray:
-    y = np.empty(n)
-    v = x0
-    for t in range(n):
-        y[t] = v
-        v = (v + v * v) % 1.0
-    return y
+def _schuster(v):
+    return (v + v * v) % 1.0
 
 
-def _zigzag(u: float) -> float:
-    return 1.0 - abs(u % 2.0 - 1.0)
+def _zigzag(v, sigma):
+    """Zigzag map with slope magnitude sigma everywhere on [0, 1]."""
+    return 1.0 - abs((sigma * v) % 2.0 - 1.0)
 
 
-def _piecewise_linear_orbit(spec: ProcessSpec, stream: Stream) -> np.ndarray:
-    """Zigzag map with slope magnitude sigma everywhere on [0, 1].
+_MAP_STEPS = {"logistic": _logistic, "noisy-logistic": _logistic,
+              "noisy-schuster": _schuster}
 
-    With dithering on, the orbit gets a 1e-14 kick once per 10^4 steps
-    so it cannot settle onto a short floating-point cycle.  Slopes that
-    are powers of two make the arithmetic exact and still collapse
-    between kicks; prefer non-dyadic sigma (or the shift kind).
+
+def _kick(v, u):
+    """Nudge ``v`` by ``(2u - 1) * _DITHER_SCALE``, staying inside [0, 1]."""
+    v = v + (2.0 * u - 1.0) * _DITHER_SCALE
+    return np.clip(v, 0.0, 1.0) if np.ndim(v) else min(1.0, max(0.0, float(v)))
+
+
+def dither_kicks(spec: ProcessSpec, seed: int, n: int) -> np.ndarray | None:
+    """Kicks of an ``n``-step orbit of the map of ``spec``: the first
+    uniforms of stream ``seed``, one per started block of
+    ``_DITHER_PERIOD`` steps, or ``None`` when the orbit is not dithered.
+
+    Only the zigzag map is dithered: a kick of at most ``_DITHER_SCALE``
+    at the start of each block keeps its orbit off short floating-point
+    cycles.  Slopes that are powers of two make the arithmetic exact and
+    still collapse between kicks; prefer non-dyadic sigma (or the shift
+    kind).
     """
-    n = spec.length
-    x0 = 0.2002 if spec.x0 is None else spec.x0
-    kicks = stream.uniforms(-(-n // _DITHER_PERIOD)) if spec.dither else None
-    y = np.empty(n)
+    if spec.kind != "piecewise-linear" or not spec.dither:
+        return None
+    return Stream(seed).uniforms(-(-n // _DITHER_PERIOD))
+
+
+def map_orbit(spec: ProcessSpec, x0, n: int, kicks=None) -> np.ndarray:
+    """``n`` iterates of the noise-free map of ``spec`` (logistic,
+    Schuster or zigzag), starting with ``x0`` itself.
+
+    A float ``x0`` gives one orbit, iterated in Python floats (as a one-row
+    array it runs more than ten times slower).  An array of initial
+    conditions gives one row per condition, iterated as arrays; row
+    ``i`` equals the orbit of ``x0[i]`` bit for bit.
+    ``kicks`` (see :func:`dither_kicks`; one row per condition for an
+    array) are applied at the start of each block of ``_DITHER_PERIOD``
+    steps.
+    """
+    if spec.kind == "piecewise-linear":
+        step = partial(_zigzag, sigma=spec.sigma)
+    elif spec.kind in _MAP_STEPS:
+        step = _MAP_STEPS[spec.kind]
+    else:
+        raise ValidationError(f"kind {spec.kind!r} is not a map")
+    out = np.empty(np.shape(x0) + (n,))
+    steps = out if out.ndim == 1 else out.T  # steps[t] holds iterate t
     v = x0
-    for t in range(n):
-        if spec.dither and t % _DITHER_PERIOD == 0:
-            v = min(1.0, max(0.0, v + (2.0 * kicks[t // _DITHER_PERIOD] - 1.0)
-                             * _DITHER_SCALE))
-        y[t] = v
-        v = _zigzag(spec.sigma * v)
-    return y
+    for lo in range(0, n, _DITHER_PERIOD):
+        if kicks is not None:
+            v = _kick(v, kicks[..., lo // _DITHER_PERIOD])
+        for t in range(lo, min(lo + _DITHER_PERIOD, n)):
+            steps[t] = v
+            v = step(v)
+    return out
 
 
 def _shift_series(n: int, stream: Stream) -> np.ndarray:
@@ -273,20 +301,15 @@ def generate(spec: ProcessSpec) -> np.ndarray:
         return _fgn(n, spec.hurst, stream)
     if spec.kind == "fbm":
         return np.cumsum(_fgn(n, spec.hurst, stream))
-    if spec.kind == "noisy-logistic":
-        amplitude = 0.30 if spec.amplitude is None else spec.amplitude
-        orbit = _logistic_orbit(0.2002 if spec.x0 is None else spec.x0, n)
-        return orbit + amplitude * (2.0 * stream.uniforms(n) - 1.0)
-    if spec.kind == "noisy-schuster":
-        amplitude = 0.25 if spec.amplitude is None else spec.amplitude
-        orbit = _schuster_orbit(0.2002 if spec.x0 is None else spec.x0, n)
-        return orbit + amplitude * (2.0 * stream.uniforms(n) - 1.0)
     if spec.kind == "xp":
         return _xp_series(spec, stream)
-    if spec.kind == "piecewise-linear":
-        return _piecewise_linear_orbit(spec, stream)
-    if spec.kind == "logistic":
-        return _logistic_orbit(0.2002 if spec.x0 is None else spec.x0, n)
     if spec.kind == "shift":
         return _shift_series(n, stream)
-    raise ValidationError(f"unknown process kind {spec.kind!r}")
+    x0 = _DEFAULT_X0 if spec.x0 is None else spec.x0
+    orbit = map_orbit(spec, x0, n, dither_kicks(spec, spec.seed, n))
+    if spec.kind not in _NOISE_AMPLITUDE:
+        return orbit
+    amplitude = spec.amplitude
+    if amplitude is None:
+        amplitude = _NOISE_AMPLITUDE[spec.kind]
+    return orbit + amplitude * (2.0 * stream.uniforms(n) - 1.0)

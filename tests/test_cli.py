@@ -290,3 +290,37 @@ def test_jobs_do_not_change_output():
     _, serial = run_cli(*args, "--jobs", "1")
     _, parallel = run_cli(*args, "--jobs", "2")
     assert serial == parallel
+
+
+def test_order_beyond_int64_codes_exits_2(tmp_path):
+    code, _ = run_cli("experiment", "fig1", "--orders", "21", "--t-max", "100",
+                      "--output-dir", str(tmp_path))
+    assert code == 2
+
+
+@pytest.mark.parametrize("command", [("entropy", "--orders", "3"),
+                                     ("decay", "--order", "3")])
+@pytest.mark.parametrize("bad", [("--jobs", "0"), ("--jobs", "-5"),
+                                 ("--realizations", "0")])
+def test_ensemble_options_below_one_exit_2(command, bad, capsys):
+    code, _ = run_cli(*command, "--process", "white-noise", "--length", "500",
+                      *bad)
+    assert code == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ("census", "--order", "3"),
+    ("entropy", "--orders", "3", "--realizations", "2"),
+    ("decay", "--order", "3", "--realizations", "2"),
+])
+def test_table_outputs_write_sidecars(command, tmp_path):
+    out = tmp_path / "out.csv"
+    code, _ = run_cli(*command, "--process", "white-noise", "--length", "2000",
+                      "--seed", "4", "--output", str(out))
+    assert code == 0 and out.exists()
+    sidecar = json.loads((tmp_path / "out.csv.json").read_text())
+    assert sidecar["command"] == command[0]
+    assert sidecar["options"]["seed"] == 4
+    assert sidecar["options"]["length"] == 2000
+    assert sidecar["options"]["process"] == "white-noise"

@@ -185,3 +185,12 @@ def test_window_codes_match_scalar_path():
         codes = window_codes(x, L)
         for t in (0, 17, 150, len(codes) - 1):
             assert codes[t] == rank_vector(x[t : t + L]).code
+
+
+def test_window_codes_order_bound():
+    # 20! - 1 is the largest code an int64 holds; 21! - 1 would wrap
+    assert window_codes(np.arange(20.0)[::-1], 20).tolist() == [
+        math.factorial(20) - 1
+    ]
+    with pytest.raises(ValidationError):
+        window_codes(np.arange(21.0)[::-1], 21)

@@ -1,15 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from permz import processes
 from permz.errors import ValidationError
 from permz.ordinal import pattern_census, window_codes
 from permz.processes import (
     ProcessSpec,
     derive_seed,
+    dither_kicks,
     fgn_autocovariance,
     generate,
+    map_orbit,
     with_seed,
 )
 
@@ -229,3 +234,35 @@ def test_window_codes_on_generated_series_smoke():
     x = generate(ProcessSpec("xp", length=1_000, seed=1, period=2))
     codes = window_codes(x, 6)
     assert codes.size == 995
+
+
+# -- batch orbits -------------------------------------------------------------
+
+MAPS = (
+    ProcessSpec("logistic", length=1),
+    ProcessSpec("noisy-schuster", length=1),
+    ProcessSpec("piecewise-linear", length=1, sigma=1.7),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(MAPS),
+    x0=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=6),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**63),
+)
+def test_batch_orbit_rows_equal_scalar_orbits(spec, x0, n, seed):
+    # a short dither period puts several kicks inside short orbits
+    with mock.patch.object(processes, "_DITHER_PERIOD", 7):
+        kicks = [dither_kicks(spec, seed + i, n) for i in range(len(x0))]
+        stacked = None if kicks[0] is None else np.vstack(kicks)
+        batch = map_orbit(spec, np.array(x0), n, stacked)
+        for i, v in enumerate(x0):
+            assert batch[i].tobytes() == map_orbit(spec, v, n, kicks[i]).tobytes()
+
+
+def test_map_orbit_rejects_kinds_without_a_map():
+    with pytest.raises(ValidationError):
+        map_orbit(ProcessSpec("fgn", length=1, hurst=0.5), 0.3, 5)
