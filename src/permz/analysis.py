@@ -395,16 +395,18 @@ def forbidden_patterns_of_map(
 # Early-exit census
 # ---------------------------------------------------------------------------
 
-def stabilized_census(
-    series, L: int, tol: float = 1e-4, block: int | None = None
-) -> PatternDistribution:
+def stabilized_census(series, L: int) -> PatternDistribution:
     """Census that stops once the pattern distribution stabilizes.
 
-    After each block of ``5 * L!`` windows (configurable) the running
-    probabilities are compared with those one block earlier; the census
-    stops when no pattern's probability moved by more than ``tol``.
-    Otherwise it runs through the whole series.  The consumed window
-    count is ``total_windows`` of the result.
+    Windows are taken in blocks of ``5 * L!``.  After each block the
+    running probabilities are compared with those one block earlier; the
+    census stops at the first block where no pattern's probability moved
+    by more than ``1e-4``.  Otherwise it runs through the whole series.
+    The consumed window count is ``total_windows`` of the result.
+
+    ``counts`` lists codes by the block in which each first occurs, then
+    by code, so a series of one block gives them in code order.  The
+    order is part of the result: ``probabilities`` follows it.
 
     The early exit is a windowing rule, not a work saving: all
     ``N - L + 1`` windows are coded first, and the rule only decides how
@@ -412,31 +414,24 @@ def stabilized_census(
     """
     codes = window_codes(series, L)
     n = codes.size
-    if block is None:
-        block = 5 * math.factorial(L)
-    if block >= n:
-        uniq, cnt = np.unique(codes, return_counts=True)
-        return PatternDistribution(
-            order=L,
-            counts={int(c): int(k) for c, k in zip(uniq, cnt)},
-            total_windows=int(n),
-        )
-    counts: dict[int, int] = {}
-    used = 0
-    prev: dict[int, float] = {}
-    while used < n:
-        hi = min(used + block, n)
-        uniq, cnt = np.unique(codes[used:hi], return_counts=True)
-        for c, k in zip(uniq, cnt):
-            counts[int(c)] = counts.get(int(c), 0) + int(k)
-        used = hi
-        probs = {c: k / used for c, k in counts.items()}
-        if prev:
-            drift = max(
-                abs(probs.get(c, 0.0) - prev.get(c, 0.0))
-                for c in set(probs) | set(prev)
-            )
-            if drift <= tol:
-                break
-        prev = probs
-    return PatternDistribution(order=L, counts=counts, total_windows=used)
+    block = min(5 * math.factorial(L), n)
+    uniq, inv = np.unique(codes, return_inverse=True)
+    m = uniq.size
+    n_blocks = -(-n // block)
+    cell = np.arange(n)
+    cell //= block
+    cell *= m
+    cell += inv
+    cum = np.bincount(cell, minlength=n_blocks * m).reshape(n_blocks, m)
+    cum = cum.cumsum(axis=0)
+    used = cum.sum(axis=1)
+    drift = np.abs(np.diff(cum / used[:, None], axis=0)).max(axis=1)
+    settled = np.flatnonzero(drift <= 1e-4)
+    row = settled[0] + 1 if settled.size else n_blocks - 1
+    kept = np.lexsort((uniq, (cum > 0).argmax(axis=0)))
+    kept = kept[cum[row, kept] > 0]
+    return PatternDistribution(
+        order=L,
+        counts=dict(zip(uniq[kept].tolist(), cum[row, kept].tolist())),
+        total_windows=int(used[row]),
+    )

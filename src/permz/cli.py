@@ -316,12 +316,16 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    for option, value, readers in (("--orders", args.orders, ("fig1",)),
+                                   ("--alpha", args.alpha, ("fig1", "fig4"))):
+        if value is not None and args.name not in readers:
+            raise ValidationError(f"experiment {args.name} does not take {option}")
     config = ExperimentConfig(
         realizations=args.realizations,
         seed=args.seed,
         t_max=args.t_max,
-        alphas=_parse_alphas(args.alpha),
-        orders=_parse_orders(args.orders),
+        alphas=_parse_alphas("0.5,1,1.5" if args.alpha is None else args.alpha),
+        orders=_parse_orders("3:7" if args.orders is None else args.orders),
         jobs=args.jobs,
     )
     outdir = args.output_dir or f"permz-out/{args.name}"
@@ -424,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--realizations", type=int, default=35)
     p_exp.add_argument("--seed", type=int, default=2024)
     p_exp.add_argument("--t-max", type=int, default=None)
-    p_exp.add_argument("--alpha", default="0.5,1,1.5")
-    p_exp.add_argument("--orders", default="3:7")
+    p_exp.add_argument("--alpha")
+    p_exp.add_argument("--orders")
     p_exp.add_argument("--jobs", type=int, default=1)
     p_exp.add_argument("--output-dir", default=None)
     p_exp.set_defaults(func=_cmd_experiment)

@@ -384,15 +384,14 @@ def entropy_report(
     dist: PatternDistribution, complexity_class: ComplexityClass, alpha: float
 ) -> EntropyReport:
     """Bundle Renyi, Z and Z/L values for one distribution."""
-    r = renyi_entropy(dist, alpha)
     if alpha == 0.0:
         z = z_topological(dist.support_size, complexity_class)
     else:
-        z = complexity_class.inverse(r) - complexity_class.inverse_zero
+        z = z_entropy(dist, complexity_class, alpha)
     return EntropyReport(
         order=dist.order,
         alpha=float(alpha),
-        renyi=r,
+        renyi=renyi_entropy(dist, alpha),
         z_value=z,
         z_rate_term=z / dist.order,
         complexity_class=complexity_class,

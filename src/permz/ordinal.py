@@ -63,10 +63,6 @@ class OrdinalPattern:
     def from_code(cls, code: int, length: int) -> "OrdinalPattern":
         return cls(lehmer_decode(code, length))
 
-    @classmethod
-    def from_window(cls, window) -> "OrdinalPattern":
-        return rank_vector(window)
-
 
 @dataclass
 class PatternDistribution:
@@ -108,13 +104,6 @@ class PatternDistribution:
         code = pattern.code if isinstance(pattern, OrdinalPattern) else pattern
         return self.counts.get(code, 0) / self.total_windows
 
-    def patterns(self) -> list[OrdinalPattern]:
-        return [
-            OrdinalPattern.from_code(code, self.order)
-            for code in sorted(self.counts)
-            if self.counts[code] > 0
-        ]
-
 
 @dataclass
 class CensusTrace:
@@ -127,10 +116,6 @@ class CensusTrace:
 
     order: int
     visible_by_prefix: list[tuple[int, int]]
-
-    @property
-    def max_T(self) -> int:
-        return self.visible_by_prefix[-1][0]
 
     @property
     def final_visible(self) -> int:
@@ -246,9 +231,8 @@ def census_trace(series, L: int, checkpoints=None) -> CensusTrace:
     ``t + L <= T``.  With ``checkpoints=None`` every prefix length from
     ``L`` to ``len(series)`` is reported.
     """
-    codes = window_codes(series, L)
-    n_windows = codes.size
-    N = n_windows + L - 1
+    curve = visible_curve(series, L)
+    N = curve.size + L - 1
     if checkpoints is None:
         ts = np.arange(L, N + 1)
     else:
@@ -261,8 +245,7 @@ def census_trace(series, L: int, checkpoints=None) -> CensusTrace:
             raise ValidationError(
                 f"checkpoints must lie in [{L}, {N}] for this series"
             )
-    first_idx = np.sort(np.unique(codes, return_index=True)[1])
-    visible = np.searchsorted(first_idx, ts - L, side="right")
+    visible = curve[ts - L]
     return CensusTrace(
         order=L,
         visible_by_prefix=[(int(t), int(a)) for t, a in zip(ts, visible)],

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permz.analysis import (
     estimate_class_constant,
@@ -17,7 +18,13 @@ from permz.analysis import (
     xp_pattern_probabilities,
 )
 from permz.errors import DataError, ValidationError
-from permz.ordinal import OrdinalPattern, census_trace, pattern_census
+from permz.ordinal import (
+    OrdinalPattern,
+    PatternDistribution,
+    census_trace,
+    pattern_census,
+    window_codes,
+)
 from permz.processes import ProcessSpec, derive_seed, generate, with_seed
 
 
@@ -307,3 +314,73 @@ def test_stabilized_census_short_series_runs_to_end():
     x = generate(ProcessSpec("white-noise", length=300, seed=4))
     dist = stabilized_census(x, 5)
     assert dist.total_windows == 296
+
+
+def reference_stabilized_census(
+    series, L: int, tol: float = 1e-4, block: int | None = None
+) -> PatternDistribution:
+    """Block-by-block census with a running probability dict: the slow
+    reference that ``stabilized_census`` must reproduce, dict order
+    included."""
+    codes = window_codes(series, L)
+    n = codes.size
+    if block is None:
+        block = 5 * math.factorial(L)
+    if block >= n:
+        uniq, cnt = np.unique(codes, return_counts=True)
+        return PatternDistribution(
+            order=L,
+            counts={int(c): int(k) for c, k in zip(uniq, cnt)},
+            total_windows=int(n),
+        )
+    counts: dict[int, int] = {}
+    used = 0
+    prev: dict[int, float] = {}
+    while used < n:
+        hi = min(used + block, n)
+        uniq, cnt = np.unique(codes[used:hi], return_counts=True)
+        for c, k in zip(uniq, cnt):
+            counts[int(c)] = counts.get(int(c), 0) + int(k)
+        used = hi
+        probs = {c: k / used for c, k in counts.items()}
+        if prev:
+            drift = max(
+                abs(probs.get(c, 0.0) - prev.get(c, 0.0))
+                for c in set(probs) | set(prev)
+            )
+            if drift <= tol:
+                break
+        prev = probs
+    return PatternDistribution(order=L, counts=counts, total_windows=used)
+
+
+def assert_same_census(series, L):
+    got = stabilized_census(series, L)
+    want = reference_stabilized_census(series, L)
+    assert list(got.counts.items()) == list(want.counts.items())
+    assert got.total_windows == want.total_windows
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 6), n=st.integers(6, 4_000), seed=st.integers(0, 2**32 - 1))
+def test_stabilized_census_equals_reference_on_floats(L, n, seed):
+    x = np.random.default_rng(seed).normal(size=n)
+    assert_same_census(x, L)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 6), n=st.integers(6, 4_000), levels=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_stabilized_census_equals_reference_on_ties(L, n, levels, seed):
+    x = np.random.default_rng(seed).integers(0, levels, size=n).astype(float)
+    assert_same_census(x, L)
+
+
+@pytest.mark.parametrize("kind, extra", [("white-noise", {}),
+                                         ("fbm", {"hurst": 0.7}),
+                                         ("logistic", {})])
+@pytest.mark.parametrize("L", [3, 4])
+def test_stabilized_census_equals_reference_at_workload_length(kind, extra, L):
+    # at T = 50 000 the stop rule fires part-way through the series
+    x = generate(ProcessSpec(kind, length=50_000, seed=8, **extra))
+    assert_same_census(x, L)

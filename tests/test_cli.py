@@ -324,3 +324,24 @@ def test_table_outputs_write_sidecars(command, tmp_path):
     assert sidecar["options"]["seed"] == 4
     assert sidecar["options"]["length"] == 2000
     assert sidecar["options"]["process"] == "white-noise"
+
+
+@pytest.mark.parametrize("name, option", [
+    ("fig3", ("--orders", "21")),
+    ("fig4", ("--orders", "3:5")),
+    ("fig2", ("--alpha", "3")),
+    ("table2", ("--alpha", "7")),
+])
+def test_experiment_option_it_does_not_read_exits_2(name, option, tmp_path, capsys):
+    code, _ = run_cli("experiment", name, *option, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert f"does not take {option[0]}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_experiment_fig1_takes_orders(tmp_path):
+    code, _ = run_cli("experiment", "fig1", "--orders", "3:4", "--t-max", "300",
+                      "--realizations", "1", "--output-dir", str(tmp_path))
+    assert code == 0
+    meta = json.loads((tmp_path / "fig1_metadata.json").read_text())
+    assert meta["config"]["orders"] == [3, 4]

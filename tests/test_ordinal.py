@@ -3,6 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from permz.errors import DataError, ValidationError
 from permz.ordinal import (
@@ -81,7 +82,7 @@ def test_ordinal_pattern_type():
     p = OrdinalPattern((0, 2, 1))
     assert p.length == 3 and p.code == 1
     assert OrdinalPattern.from_code(p.code, 3) == p
-    assert OrdinalPattern.from_window((0.5, 9.0, 0.7)).ranks == (0, 2, 1)
+    assert rank_vector((0.5, 9.0, 0.7)).ranks == (0, 2, 1)
     with pytest.raises(ValidationError):
         OrdinalPattern((0, 2, 2))
 
@@ -194,3 +195,38 @@ def test_window_codes_order_bound():
     ]
     with pytest.raises(ValidationError):
         window_codes(np.arange(21.0)[::-1], 21)
+
+
+# a few value levels make ties; a leading run of equal values makes
+# constant windows and windows that straddle the end of the run
+tie_heavy_series = st.builds(
+    lambda xs, run: np.array([xs[0]] * run + xs),
+    st.lists(st.one_of(st.integers(0, 3).map(float),
+                       st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
+             min_size=1, max_size=300),
+    st.integers(0, 12),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=tie_heavy_series, L=st.integers(2, 7))
+def test_window_codes_equal_per_window_lehmer_codes(x, L):
+    assume(x.size >= L)
+    want = [lehmer_encode(rank_vector(x[t : t + L])) for t in range(x.size - L + 1)]
+    assert window_codes(x, L).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=tie_heavy_series, L=st.integers(2, 6), data=st.data())
+def test_census_trace_monotone_bounded_and_equal_to_visible_curve(x, L, data):
+    assume(x.size >= L)
+    ts = sorted(data.draw(st.lists(st.integers(L, x.size), min_size=1)))
+    trace = census_trace(x, L, checkpoints=ts)
+    visible = [a for _, a in trace.visible_by_prefix]
+    assert [t for t, _ in trace.visible_by_prefix] == ts
+    assert all(b >= a for a, b in zip(visible, visible[1:]))
+    assert 1 <= visible[0] and visible[-1] <= math.factorial(L)
+    curve = visible_curve(x, L)
+    assert visible == [int(curve[t - L]) for t in ts]
+    codes = window_codes(x, L)
+    assert visible == [len(set(codes[: t - L + 1].tolist())) for t in ts]
