@@ -14,7 +14,7 @@ from . import analysis, entropy, ordinal
 from .errors import DataError, NumericalError, PermzError, ValidationError
 from .ordinal import *  # noqa: F403
 from .entropy import *  # noqa: F403
-from .processes import ProcessSpec, derive_seed, fgn_autocovariance, generate, with_seed
+from .processes import ProcessSpec, derive_seed, fgn_autocovariance, generate
 from .analysis import *  # noqa: F403
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
@@ -32,7 +32,6 @@ __all__ = [
     "generate",
     "fgn_autocovariance",
     "derive_seed",
-    "with_seed",
     *analysis.__all__,
     "EXPERIMENTS",
     "ExperimentConfig",

@@ -1,10 +1,11 @@
 """Higher-level analytics on pattern censuses.
 
-Covers the finite-length complexity function ``g(L, T) = ln A_{L,T}``,
-exponential and stretched-exponential fits of the missing-pattern decay
-``M_{L,T} = L! - A_{L,T}``, exact combinatorics of the noisy-periodic
-process family, growth-constant estimation, and empirical forbidden-
-pattern detection for deterministic maps.
+Covers exponential and stretched-exponential fits of the missing-pattern
+decay ``M_{L,T} = L! - A_{L,T}`` (an array over ``T = L, L+1, ...``, from
+the prefix curve ``A_{L,T}`` of :func:`permz.ordinal.visible_curve`),
+exact combinatorics of the noisy-periodic process family, growth-constant
+estimation, and empirical forbidden-pattern detection for deterministic
+maps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import chain, permutations, product
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .ordinal import CensusTrace, OrdinalPattern, PatternDistribution, window_codes
+from .ordinal import OrdinalPattern, PatternDistribution, window_codes
 from .processes import ProcessSpec, derive_seed, dither_kicks, generate, map_orbit
 from .rng import Stream
 
@@ -25,8 +26,6 @@ __all__ = [
     "DecayFit",
     "XpAnalytics",
     "ClassConstantFit",
-    "missing_series",
-    "pc_function_trace",
     "fit_decay",
     "xp_allowed_count",
     "xp_distribution",
@@ -42,17 +41,6 @@ __all__ = [
 # Missing patterns and decay fits
 # ---------------------------------------------------------------------------
 
-def missing_series(trace: CensusTrace) -> list[tuple[int, int]]:
-    """Missing-pattern counts ``M = L! - A`` at each checkpoint."""
-    fact = math.factorial(trace.order)
-    return [(t, fact - a) for t, a in trace.visible_by_prefix]
-
-
-def pc_function_trace(trace: CensusTrace) -> list[tuple[int, float]]:
-    """Finite-length complexity function ``g(L, T) = ln A_{L,T}``."""
-    return [(t, math.log(a)) for t, a in trace.visible_by_prefix]
-
-
 @dataclass(frozen=True)
 class DecayFit:
     """Fitted missing-pattern decay ``M(T) = C * exp(-R * T^beta)``."""
@@ -67,22 +55,25 @@ class DecayFit:
 
 
 def _decay_points(missing, L: int) -> tuple[np.ndarray, np.ndarray]:
-    pts = sorted((float(t), float(m)) for t, m in missing)
-    if not pts:
+    m = np.asarray(missing, dtype=np.float64)
+    if m.ndim != 1:
+        raise ValidationError(
+            "missing counts must be a 1-d curve over T = L, L+1, ..."
+        )
+    if m.size == 0:
         raise DataError("no missing-pattern points supplied")
-    if all(m <= 0.0 for _, m in pts[1:]):
+    if not np.all(np.isfinite(m)):
+        raise DataError("missing counts contain non-finite values")
+    if not np.any(m[1:] > 0.0):
         raise DataError(
             "census is saturated: no positive missing counts beyond the first point"
         )
-    kept_t, kept_m = [], []
-    for t, m in pts:
-        if m < 1.0:
-            break  # fit on the largest prefix where at least one pattern is missing
-        kept_t.append(t)
-        kept_m.append(m)
-    if len(kept_t) < 4:
+    # fit on the largest prefix where at least one pattern is missing
+    below = np.flatnonzero(m < 1.0)
+    k = below[0] if below.size else m.size
+    if k < 4:
         raise DataError("need at least 4 checkpoints with M >= 1 to fit a decay")
-    return np.array(kept_t), np.array(kept_m)
+    return L + np.arange(k, dtype=np.float64), m[:k]
 
 
 def _stretched_residual(t, y, beta):
@@ -96,8 +87,10 @@ def fit_decay(missing, L: int, model: str = "exponential",
               fix_intercept: bool = True) -> DecayFit:
     """Fit the decay law of missing ``L``-patterns versus series length.
 
-    ``missing`` is a sequence of ``(T, M)`` pairs (``M`` may be an
-    ensemble average).  The exponential model fits ``ln M`` against
+    ``missing`` is the 1-d curve of missing counts ``M`` at
+    ``T = L, L+1, ...`` -- ``L! - visible_curve(series, L)``, or an
+    ensemble mean of such curves.  The fit uses the prefix before the
+    first ``M < 1``.  The exponential model fits ``ln M`` against
     ``T - L`` with the intercept pinned to ``ln(L! - 1)`` -- the exact
     value at ``T = L`` -- unless ``fix_intercept=False``.  The
     stretched model scans the exponent ``beta`` over a coarse grid and
@@ -112,10 +105,7 @@ def fit_decay(missing, L: int, model: str = "exponential",
         x = t - L
         c0 = math.log(math.factorial(L) - 1)
         if fix_intercept:
-            denom = float(np.sum(x * x))
-            if denom == 0.0:
-                raise DataError("degenerate abscissae: all checkpoints equal")
-            rate = float(np.sum(x * (c0 - y)) / denom)
+            rate = float(np.sum(x * (c0 - y)) / np.sum(x * x))
             fitted = c0 - rate * x
             intercept = c0
         else:

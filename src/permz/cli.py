@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -33,8 +33,8 @@ from .errors import DataError, PermzError, ValidationError
 from .experiments import (
     EXPERIMENTS, ExperimentConfig, missing_curves, run_ensemble, run_experiment,
 )
-from .ordinal import census_trace, lehmer_decode, pattern_census
-from .processes import KINDS, ProcessSpec, derive_seed, generate, with_seed
+from .ordinal import lehmer_decode, pattern_census, visible_curve
+from .processes import KINDS, ProcessSpec, derive_seed, generate
 
 __all__ = ["main", "RunConfig", "read_series", "write_series"]
 
@@ -212,7 +212,8 @@ def _load_sources(args, default_length: int) -> tuple[str, list]:
     if args.realizations < 1:
         raise ValidationError("realizations must be at least 1")
     return args.process, [
-        with_seed(spec, derive_seed(args.seed, i)) for i in range(args.realizations)
+        replace(spec, seed=derive_seed(args.seed, i))
+        for i in range(args.realizations)
     ]
 
 
@@ -225,12 +226,11 @@ def _cmd_census(args) -> int:
         series = generate(_spec_from_args(args))
     L = args.order
     if args.trace:
-        trace = census_trace(series, L)
         fact = math.factorial(L)
         header = ["T", "visible", "missing", "g"]
         rows = [
             [t, a, fact - a, f"{np.log(a):.6f}"]
-            for t, a in trace.visible_by_prefix
+            for t, a in enumerate(visible_curve(series, L).tolist(), L)
         ]
     else:
         dist = pattern_census(series, L)
@@ -301,11 +301,8 @@ def _cmd_decay(args) -> int:
     if len(lengths) != 1:
         raise DataError("ensemble members must share one series length")
     mean_m = np.mean(np.vstack(curves), axis=0)
-    ts = np.arange(L, L + mean_m.size)
-    fit = fit_decay(
-        list(zip(ts, mean_m)), L, model=args.model,
-        fix_intercept=not args.free_intercept,
-    )
+    fit = fit_decay(mean_m, L, model=args.model,
+                    fix_intercept=not args.free_intercept)
     header = ["source", "L", "model", "R", "C", "beta", "T_min", "T_max",
               "residual", "n_points", "realizations"]
     rows = [[label, L, fit.model, f"{fit.R:.6e}", f"{fit.C:.6e}",

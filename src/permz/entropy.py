@@ -38,7 +38,6 @@ __all__ = [
     "exp_iterated",
     "log_iterated",
     "renyi_entropy",
-    "shannon_permutation_entropy",
     "z_entropy",
     "z_topological",
     "entropy_report",
@@ -341,12 +340,6 @@ def renyi_entropy(dist, alpha: float) -> float:
     if abs(alpha - 1.0) < 1e-8:
         return float(-np.sum(support * np.log(support)))
     return float(np.log(np.sum(support**alpha)) / (1.0 - alpha))
-
-
-def shannon_permutation_entropy(dist) -> float:
-    """Shannon entropy of the pattern distribution; alias for
-    ``renyi_entropy(dist, 1)``."""
-    return renyi_entropy(dist, 1.0)
 
 
 def z_entropy(dist, complexity_class: ComplexityClass, alpha: float) -> float:

@@ -329,8 +329,7 @@ def _experiment_table1(config: ExperimentConfig):
                             partial(missing_curves, orders=orders))
         for L in orders:
             mean_m = np.mean(np.vstack([m[L] for m in members]), axis=0)
-            ts = np.arange(L, length + 1)
-            fits[(name, L)] = fit_decay(list(zip(ts, mean_m)), L)
+            fits[(name, L)] = fit_decay(mean_m, L)
     header = ["process"] + [f"R_L{L}" for L in orders] + [
         f"residual_L{L}" for L in orders
     ]

@@ -22,14 +22,12 @@ from .errors import DataError, ValidationError
 __all__ = [
     "OrdinalPattern",
     "PatternDistribution",
-    "CensusTrace",
     "rank_vector",
     "lehmer_encode",
     "lehmer_decode",
     "window_codes",
     "pattern_census",
     "visible_curve",
-    "census_trace",
 ]
 
 _CHUNK_WINDOWS = 1 << 20
@@ -82,9 +80,13 @@ class PatternDistribution:
         fact = factorial(self.order)
         if len(self.counts) > fact:
             raise ValidationError("more patterns than L! -- invalid census")
-        for code in self.counts:
-            if not 0 <= code < fact:
-                raise ValidationError(f"code {code} out of range for L={self.order}")
+        lo, hi = min(self.counts, default=0), max(self.counts, default=0)
+        if lo < 0 or hi >= fact:
+            raise ValidationError(
+                f"code {lo if lo < 0 else hi} out of range for L={self.order}"
+            )
+        if min(self.counts.values(), default=0) < 0:
+            raise DataError("pattern counts must be nonnegative")
         if sum(self.counts.values()) != self.total_windows:
             raise DataError("pattern counts do not add up to the window total")
 
@@ -103,23 +105,6 @@ class PatternDistribution:
     def probability_of(self, pattern: OrdinalPattern | int) -> float:
         code = pattern.code if isinstance(pattern, OrdinalPattern) else pattern
         return self.counts.get(code, 0) / self.total_windows
-
-
-@dataclass
-class CensusTrace:
-    """Visible-pattern counts by series prefix length.
-
-    ``visible_by_prefix`` holds ``(T, A)`` pairs: ``A`` distinct
-    patterns occur among the windows fully inside the first ``T``
-    samples.  ``A`` is nondecreasing in ``T`` and bounded by ``L!``.
-    """
-
-    order: int
-    visible_by_prefix: list[tuple[int, int]]
-
-    @property
-    def final_visible(self) -> int:
-        return self.visible_by_prefix[-1][1]
 
 
 def _as_series(series) -> np.ndarray:
@@ -217,36 +202,12 @@ def visible_curve(series, L: int) -> np.ndarray:
     """Distinct-pattern count at every prefix length.
 
     Entry ``t`` is the number of distinct patterns among windows
-    ``0..t``, i.e. the visible count for prefix length ``T = t + L``.
+    ``0..t``, i.e. the visible count ``A_{L,T}`` for prefix length
+    ``T = t + L``: 1 at ``T = L``, nondecreasing, bounded by ``L!``.
+    This array is the one form of the prefix curve; the missing counts
+    are ``L! - curve`` and the complexity function is ``ln(curve)``.
     """
     codes = window_codes(series, L)
     first_idx = np.unique(codes, return_index=True)[1]
     return np.cumsum(np.bincount(first_idx, minlength=codes.size))
 
-
-def census_trace(series, L: int, checkpoints=None) -> CensusTrace:
-    """Distinct-pattern counts at a ladder of prefix lengths.
-
-    A window starting at ``t`` lies inside the first ``T`` samples when
-    ``t + L <= T``.  With ``checkpoints=None`` every prefix length from
-    ``L`` to ``len(series)`` is reported.
-    """
-    curve = visible_curve(series, L)
-    N = curve.size + L - 1
-    if checkpoints is None:
-        ts = np.arange(L, N + 1)
-    else:
-        ts = np.asarray(list(checkpoints), dtype=np.int64)
-        if ts.size == 0:
-            raise ValidationError("checkpoints must be non-empty")
-        if np.any(np.diff(ts) < 0):
-            raise ValidationError("checkpoints must be sorted")
-        if ts[0] < L or ts[-1] > N:
-            raise ValidationError(
-                f"checkpoints must lie in [{L}, {N}] for this series"
-            )
-    visible = curve[ts - L]
-    return CensusTrace(
-        order=L,
-        visible_by_prefix=[(int(t), int(a)) for t, a in zip(ts, visible)],
-    )

@@ -28,8 +28,9 @@ documented draw order per kind:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,7 +44,6 @@ __all__ = [
     "generate",
     "fgn_autocovariance",
     "derive_seed",
-    "with_seed",
     "map_orbit",
     "dither_kicks",
 ]
@@ -92,7 +92,7 @@ class ProcessSpec:
             raise ValidationError(
                 f"unknown process kind {self.kind!r}; choose from {', '.join(KINDS)}"
             )
-        if self.length < 1:
+        if not isinstance(self.length, Integral) or self.length < 1:
             raise ValidationError("length must be a positive integer")
         allowed = {
             "white-noise": set(),
@@ -122,7 +122,7 @@ class ProcessSpec:
             if self.x0 is not None and not 0.0 < self.x0 < 1.0:
                 raise ValidationError("x0 must lie inside (0, 1)")
         if self.kind == "xp":
-            if self.period is None or self.period < 2:
+            if not isinstance(self.period, Integral) or self.period < 2:
                 raise ValidationError("period must be an integer >= 2")
             if self.delta is not None and not self.delta > 0:
                 raise ValidationError("delta must be positive")
@@ -158,10 +158,6 @@ class ProcessSpec:
 def derive_seed(base_seed: int, index: int) -> int:
     """Per-realization seed for ensemble member ``index``."""
     return (int(base_seed) + int(index)) & 0xFFFFFFFFFFFFFFFF
-
-
-def with_seed(spec: ProcessSpec, seed: int) -> ProcessSpec:
-    return replace(spec, seed=seed)
 
 
 def fgn_autocovariance(hurst: float, lag: int) -> float:

@@ -20,6 +20,7 @@ package.
 
 import math
 import time
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -49,7 +50,7 @@ from permz.experiments import (
     run_experiment,
 )
 from permz.ordinal import OrdinalPattern, pattern_census
-from permz.processes import ProcessSpec, derive_seed, generate, with_seed
+from permz.processes import ProcessSpec, derive_seed, generate
 
 FAC = ComplexityClass.factorial()
 PROCESS_NAMES = [name for name, _ in FACTORIAL_PROCESSES]
@@ -239,7 +240,7 @@ def test_c10_oracle_equivalence_and_empirical_levels():
     samples = {ranks: [] for ranks in oracle}
     union: set = set()
     for i in range(m):
-        census = pattern_census(generate(with_seed(spec, derive_seed(4242, i))), L)
+        census = pattern_census(generate(replace(spec, seed=derive_seed(4242, i))), L)
         union |= set(census.counts)
         for ranks in oracle:
             code = OrdinalPattern(ranks).code

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,6 @@ from permz.analysis import (
     estimate_class_constant,
     fit_decay,
     forbidden_patterns_of_map,
-    missing_series,
-    pc_function_trace,
     stabilized_census,
     xp_allowed_count,
     xp_class_constant,
@@ -18,37 +17,34 @@ from permz.analysis import (
     xp_pattern_probabilities,
 )
 from permz.errors import DataError, ValidationError
+from permz.experiments import missing_curves
 from permz.ordinal import (
     OrdinalPattern,
     PatternDistribution,
-    census_trace,
     pattern_census,
+    visible_curve,
     window_codes,
 )
-from permz.processes import ProcessSpec, derive_seed, generate, with_seed
+from permz.processes import ProcessSpec, derive_seed, generate
 
 
 # -- missing / pc traces ------------------------------------------------------
 
 def test_missing_series_arithmetic():
     x = generate(ProcessSpec("white-noise", length=400, seed=1))
-    trace = census_trace(x, 3, checkpoints=[3, 50, 400])
-    pairs = missing_series(trace)
-    assert pairs[0] == (3, 5)  # single window leaves L! - 1 missing
-    for (t, m), (_, a) in zip(pairs, trace.visible_by_prefix):
-        assert m == 6 - a
-    saturated = census_trace(x, 2, checkpoints=[400])
-    assert missing_series(saturated)[-1][1] == 0
+    curves = missing_curves(x, orders=(2, 3))
+    assert curves[3][0] == 5  # single window leaves L! - 1 missing
+    assert np.array_equal(curves[3], 6 - visible_curve(x, 3))
+    assert curves[3].size == 400 - 3 + 1
+    assert curves[2][-1] == 0  # saturated
 
 
 def test_pc_function_trace_monotone_and_bounded():
     x = generate(ProcessSpec("fgn", length=3_000, seed=3, hurst=0.3))
-    trace = census_trace(x, 4)
-    g = pc_function_trace(trace)
-    values = [v for _, v in g]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-    assert values[-1] <= math.log(math.factorial(4)) + 1e-12
-    assert g[0] == (4, 0.0)
+    g = np.log(visible_curve(x, 4))  # g(4, T) = ln A_{4,T}, T = 4, 5, ...
+    assert np.all(np.diff(g) >= 0)
+    assert g[-1] <= math.log(math.factorial(4)) + 1e-12
+    assert g[0] == 0.0
 
 
 # -- decay fits ---------------------------------------------------------------
@@ -57,19 +53,19 @@ def test_fit_decay_exact_recovery():
     L, rate = 4, 0.01
     ts = np.arange(L, 2001)
     m = (math.factorial(L) - 1) * np.exp(-rate * (ts - L))
-    fit = fit_decay(list(zip(ts, m)), L)
+    fit = fit_decay(m, L)
     assert fit.model == "exponential" and fit.beta == 1.0
     assert fit.R == pytest.approx(rate, rel=1e-7)
     assert fit.C == pytest.approx((math.factorial(L) - 1) * math.exp(rate * L),
                                   rel=1e-6)
-    free = fit_decay(list(zip(ts, m)), L, fix_intercept=False)
+    free = fit_decay(m, L, fix_intercept=False)
     assert free.R == pytest.approx(rate, rel=1e-7)
 
 
 def test_fit_decay_stretched_recovery():
     ts = np.arange(4, 3000)
     m = 50.0 * np.exp(-0.3 * ts**0.5)
-    fit = fit_decay(list(zip(ts, m)), 4, model="stretched")
+    fit = fit_decay(m, 4, model="stretched")
     assert fit.beta == pytest.approx(0.5, abs=1e-3)
     assert fit.R == pytest.approx(0.3, rel=1e-3)
     assert fit.C == pytest.approx(50.0, rel=1e-2)
@@ -81,21 +77,35 @@ def test_fit_decay_prefix_selection():
     ts = np.arange(L, 500)
     m = (math.factorial(L) - 1) * np.exp(-0.05 * (ts - L))
     noisy = np.where(m >= 1.0, m, 0.0)
-    fit = fit_decay(list(zip(ts, noisy)), L)
+    fit = fit_decay(noisy, L)
     assert fit.R == pytest.approx(0.05, rel=1e-6)
-    assert fit.fit_range[1] < 500
+    first_below = int(np.argmax(m < 1.0))
+    assert fit.fit_range == (L, L + first_below - 1)
+    assert fit.n_points == first_below
 
 
 def test_fit_decay_errors():
     with pytest.raises(ValidationError):
-        fit_decay([(4, 10.0)] * 8, 4, model="cubic")
+        fit_decay([10.0] * 8, 4, model="cubic")
     with pytest.raises(DataError):
-        fit_decay([(4, 23.0), (5, 0.0), (6, 0.0), (7, 0.0)], 4)  # saturated
+        fit_decay([23.0, 0.0, 0.0, 0.0], 4)  # saturated
     with pytest.raises(DataError):
-        fit_decay([(4, 23.0), (5, 12.0), (6, 5.0)], 4)  # too few points
-    growing = [(t, 5.0 * math.exp(0.01 * t)) for t in range(4, 50)]
+        fit_decay([23.0, 12.0, 5.0], 4)  # too few points
+    with pytest.raises(DataError):
+        fit_decay([], 4)
+    growing = 5.0 * np.exp(0.01 * np.arange(4, 50))
     with pytest.raises(DataError):
         fit_decay(growing, 4, fix_intercept=False)  # no decay present
+    # (T, M) pairs are a 2-d input, not a curve: rejected, not fitted
+    pairs = [(t, 23.0 * math.exp(-0.1 * (t - 4))) for t in range(4, 40)]
+    with pytest.raises(ValidationError):
+        fit_decay(pairs, 4)
+    with pytest.raises(ValidationError):
+        fit_decay(np.ones((2, 10)), 4)
+    with_nan = 23.0 * np.exp(-0.1 * np.arange(36))
+    with_nan[5] = np.nan
+    with pytest.raises(DataError):
+        fit_decay(with_nan, 4)
 
 
 # -- noisy-periodic combinatorics ----------------------------------------------
@@ -209,7 +219,7 @@ def test_empirical_census_matches_analytics():
     d = xp_distribution(p, L)
     oracle = xp_pattern_probabilities(p, L)
     spec = ProcessSpec("xp", length=T, seed=0, period=p)
-    x = generate(with_seed(spec, 12345))
+    x = generate(replace(spec, seed=12345))
     dist = pattern_census(x, L)
     assert dist.support_size == d.allowed
     observed = {

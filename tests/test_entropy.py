@@ -10,7 +10,6 @@ from permz.entropy import (
     exp_iterated,
     lambert_w,
     renyi_entropy,
-    shannon_permutation_entropy,
     z_entropy,
     z_topological,
 )
@@ -76,19 +75,18 @@ def test_renyi_accepts_pattern_distribution():
     )
 
 
-def test_shannon_alias_and_bound_chain():
+def test_shannon_bound_chain():
     x = generate(ProcessSpec("logistic", length=30_000, seed=3))
     dist = pattern_census(x, 3)
-    h = shannon_permutation_entropy(dist)
-    assert h == renyi_entropy(dist, 1.0)
+    h = renyi_entropy(dist, 1.0)
     # H* <= ln(support) <= ln L!, support is 5 for this map
     assert h <= math.log(dist.support_size) <= math.log(math.factorial(3))
     assert dist.support_size == 5
 
 
 def test_shannon_uniform_and_singular():
-    assert shannon_permutation_entropy(np.full(6, 1 / 6)) == pytest.approx(math.log(6))
-    assert shannon_permutation_entropy([1.0, 0.0]) == 0.0
+    assert renyi_entropy(np.full(6, 1 / 6), 1.0) == pytest.approx(math.log(6))
+    assert renyi_entropy([1.0, 0.0], 1.0) == 0.0
 
 
 # -- complexity classes -----------------------------------------------------
@@ -285,7 +283,7 @@ def test_entropy_report_fields():
     report = entropy_report(dist, cls, 1.0)
     assert report.order == 4
     assert report.z_rate_term == pytest.approx(report.z_value / 4)
-    assert report.renyi == pytest.approx(shannon_permutation_entropy(dist))
+    assert report.renyi == pytest.approx(renyi_entropy(dist, 1.0))
     top = entropy_report(dist, cls, 0.0)
     assert top.z_value >= report.z_value
 

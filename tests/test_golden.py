@@ -5,15 +5,22 @@ sha256 digests captured before the ensemble engine and the orbit
 generator were consolidated, so any change of output, down to the last
 printed digit, fails here.  ``*_metadata.json`` holds the runtime and is
 not digested.
+
+The ``census --trace`` and ``decay`` commands are digested the same way:
+the sha256 of their standard output, captured before the prefix curve
+became the only input form of ``fit_decay``.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from permz.cli import main
 from permz.experiments import ExperimentConfig, run_experiment
 
 CONFIGS = {
@@ -96,3 +103,30 @@ def test_experiment_outputs_match_golden_digests(name, tmp_path):
 def test_process_pool_gives_golden_digests(name, tmp_path):
     config = replace(CONFIGS[name], jobs=2)
     assert digests(name, config, tmp_path) == GOLDEN[name]
+
+
+CLI_GOLDEN = {
+    ("census", "--process", "noisy-logistic", "--length", "3000", "--seed", "3",
+     "--order", "4", "--trace"):
+        "4aee70a6f29f874b185ba37c5b0f16e2b6c1ed53ab898aaf38639a52bbeb242e",
+    ("census", "--process", "fbm", "--hurst", "0.4", "--length", "2000",
+     "--seed", "5", "--order", "5", "--trace"):
+        "163a9f7b353542b960bdfe612916d993cb1101f817128aaddaa4ed74e24fcc02",
+    ("decay", "--process", "white-noise", "--length", "3000", "--order", "4",
+     "--realizations", "3", "--seed", "11"):
+        "18aa88162d48c00ce1925827626d4e182710a7b7967ffe6dae6b2366c1574dd2",
+    ("decay", "--process", "fbm", "--hurst", "0.6", "--length", "3000",
+     "--order", "4", "--realizations", "3", "--seed", "12", "--model", "stretched"):
+        "0c6585c3f08d9701ea440f26f6f899a853fd2fa25b5bac3960693f7e9d779ad5",
+    ("decay", "--process", "noisy-logistic", "--length", "3000", "--order", "4",
+     "--realizations", "3", "--seed", "13", "--free-intercept"):
+        "b91cbbf8317868a6bb1d8d2f11276b5228977e51a8955243b6c584d6a82dbe70",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_GOLDEN), ids=" ".join)
+def test_cli_outputs_match_golden_digests(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CLI_GOLDEN[argv]

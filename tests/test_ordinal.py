@@ -9,7 +9,6 @@ from permz.errors import DataError, ValidationError
 from permz.ordinal import (
     OrdinalPattern,
     PatternDistribution,
-    census_trace,
     lehmer_decode,
     lehmer_encode,
     pattern_census,
@@ -130,53 +129,50 @@ def test_pattern_distribution_invariants():
         PatternDistribution(order=3, counts={0: 2}, total_windows=3)
     with pytest.raises(ValidationError):
         PatternDistribution(order=2, counts={5: 1}, total_windows=1)
+    with pytest.raises(ValidationError):
+        PatternDistribution(order=2, counts={-1: 1}, total_windows=1)
+    # a negative count could balance the total and give probabilities > 1
+    with pytest.raises(DataError):
+        PatternDistribution(order=3, counts={0: 3, 1: -1}, total_windows=2)
+    with pytest.raises(DataError):
+        PatternDistribution(order=3, counts={}, total_windows=1)
 
+
+# -- census trace: the prefix curve A_{L,T} of visible_curve, T = L, L+1, ... --
 
 def test_census_trace_first_checkpoint_is_one():
     x = generate(ProcessSpec("white-noise", length=500, seed=2))
     for L in (3, 4):
-        trace = census_trace(x, L, checkpoints=[L])
-        assert trace.visible_by_prefix == [(L, 1)]  # hence M = L! - 1
+        assert visible_curve(x, L)[0] == 1  # at T = L, hence M = L! - 1
 
 
 def test_census_trace_monotone_and_consistent_with_census():
     x = generate(ProcessSpec("fbm", length=3_000, seed=5, hurst=0.4))
-    trace = census_trace(x, 4)
-    visible = [a for _, a in trace.visible_by_prefix]
-    assert all(b >= a for a, b in zip(visible, visible[1:]))
+    visible = visible_curve(x, 4)
+    assert visible.size == 3_000 - 4 + 1  # one entry per T = 4..3000
+    assert np.all(np.diff(visible) >= 0)
     assert visible[-1] == pattern_census(x, 4).support_size
-    assert max(visible) <= math.factorial(4)
-
-
-def test_census_trace_checkpoint_validation():
-    x = list(range(10))
-    with pytest.raises(ValidationError):
-        census_trace(x, 3, checkpoints=[])
-    with pytest.raises(ValidationError):
-        census_trace(x, 3, checkpoints=[5, 4])
-    with pytest.raises(ValidationError):
-        census_trace(x, 3, checkpoints=[2])
-    with pytest.raises(ValidationError):
-        census_trace(x, 3, checkpoints=[11])
+    assert visible.max() <= math.factorial(4)
 
 
 def test_census_trace_logistic_converges_to_five():
     x = generate(ProcessSpec("logistic", length=20_000, seed=0))
-    trace = census_trace(x, 3, checkpoints=[20_000])
-    assert trace.final_visible == 5
+    assert visible_curve(x, 3)[-1] == 5
 
 
 def test_census_trace_white_noise_saturates():
     x = generate(ProcessSpec("white-noise", length=20_000, seed=4))
-    trace = census_trace(x, 6, checkpoints=[20_000])
-    assert trace.final_visible == 720
+    assert visible_curve(x, 6)[-1] == 720
 
 
 def test_visible_curve_matches_trace():
+    # the per-prefix trace of distinct codes, counted window by window
     x = generate(ProcessSpec("white-noise", length=800, seed=9))
-    curve = visible_curve(x, 3)
-    trace = census_trace(x, 3)
-    assert np.array_equal(curve, [a for _, a in trace.visible_by_prefix])
+    seen, trace = set(), []
+    for code in window_codes(x, 3).tolist():
+        seen.add(code)
+        trace.append(len(seen))
+    assert visible_curve(x, 3).tolist() == trace
 
 
 def test_window_codes_match_scalar_path():
@@ -221,12 +217,11 @@ def test_window_codes_equal_per_window_lehmer_codes(x, L):
 def test_census_trace_monotone_bounded_and_equal_to_visible_curve(x, L, data):
     assume(x.size >= L)
     ts = sorted(data.draw(st.lists(st.integers(L, x.size), min_size=1)))
-    trace = census_trace(x, L, checkpoints=ts)
-    visible = [a for _, a in trace.visible_by_prefix]
-    assert [t for t, _ in trace.visible_by_prefix] == ts
-    assert all(b >= a for a, b in zip(visible, visible[1:]))
-    assert 1 <= visible[0] and visible[-1] <= math.factorial(L)
     curve = visible_curve(x, L)
-    assert visible == [int(curve[t - L]) for t in ts]
+    assert curve.shape == (x.size - L + 1,)
+    assert np.all(np.diff(curve) >= 0)
+    assert curve[0] == 1 and curve[-1] <= math.factorial(L)
     codes = window_codes(x, L)
-    assert visible == [len(set(codes[: t - L + 1].tolist())) for t in ts]
+    assert [int(curve[t - L]) for t in ts] == [
+        len(set(codes[: t - L + 1].tolist())) for t in ts
+    ]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,6 @@ from permz.processes import (
     fgn_autocovariance,
     generate,
     map_orbit,
-    with_seed,
 )
 
 
@@ -43,6 +43,23 @@ def test_parameter_domains():
         ProcessSpec("white-noise", length=0)
     with pytest.raises(ValidationError):
         ProcessSpec("white-noise", length=10, hurst=0.5)  # stray parameter
+
+
+def test_length_and_period_must_be_integers():
+    # a float length would round up the sample count and a float period
+    # would give aperiodic phases
+    with pytest.raises(ValidationError):
+        ProcessSpec("white-noise", length=2.5)
+    with pytest.raises(ValidationError):
+        ProcessSpec("white-noise", length=10.0)
+    with pytest.raises(ValidationError):
+        ProcessSpec("xp", length=10, period=2.5)
+    with pytest.raises(ValidationError):
+        ProcessSpec("xp", length=10, period=np.float64(3.0))
+    spec = ProcessSpec("xp", length=np.int64(12), period=np.int32(3))
+    assert generate(spec).shape == (12,)
+    plain = ProcessSpec("xp", length=12, period=3)
+    assert np.array_equal(generate(spec), generate(plain))
 
 
 def test_known_entropies():
@@ -78,7 +95,7 @@ def test_bit_identical_reproducibility(spec):
     assert a.dtype == np.float64 and a.shape == (257,)
     assert np.array_equal(a, b)
     if spec.kind != "logistic":  # the noise-free orbit ignores the seed
-        c = generate(with_seed(spec, derive_seed(spec.seed, 1)))
+        c = generate(replace(spec, seed=derive_seed(spec.seed, 1)))
         assert not np.array_equal(a, c)
 
 
