@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, permutations, product
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .ordinal import OrdinalPattern, PatternDistribution, window_codes
+from .ordinal import _MAX_ORDER, OrdinalPattern, PatternDistribution, window_codes
 from .processes import ProcessSpec, derive_seed, dither_kicks, generate, map_orbit
 from .rng import Stream
 
@@ -98,6 +99,8 @@ def fit_decay(missing, L: int, model: str = "exponential",
     """
     if model not in ("exponential", "stretched"):
         raise ValidationError("model must be 'exponential' or 'stretched'")
+    if not isinstance(L, Integral) or not 2 <= L <= _MAX_ORDER:
+        raise ValidationError(f"order L must be an integer in 2..{_MAX_ORDER}")
     t, m = _decay_points(missing, L)
     y = np.log(m)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ValidationError
 
@@ -30,7 +29,6 @@ __all__ = [
     "visible_curve",
 ]
 
-_CHUNK_WINDOWS = 1 << 20
 _MAX_ORDER = 20  # 21! - 1 overflows the int64 codes
 
 
@@ -110,7 +108,7 @@ class PatternDistribution:
 def _as_series(series) -> np.ndarray:
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
-        x = x.reshape(-1)
+        raise ValidationError(f"series must be 1-d, got {x.ndim} dimensions")
     if not np.all(np.isfinite(x)):
         raise DataError("series contains non-finite values")
     return x
@@ -158,18 +156,14 @@ def lehmer_decode(code: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _codes_from_perms(perms: np.ndarray) -> np.ndarray:
-    """Vectorized Lehmer coding of permutation rows."""
-    n, L = perms.shape
-    codes = np.zeros(n, dtype=np.int64)
-    for i in range(L - 1):
-        smaller_after = (perms[:, i + 1 :] < perms[:, i : i + 1]).sum(axis=1)
-        codes += smaller_after * factorial(L - 1 - i)
-    return codes
-
-
 def window_codes(series, L: int) -> np.ndarray:
-    """Lehmer codes of every stride-1 window of the series."""
+    """Lehmer codes of every stride-1 window of the series.
+
+    For window position ``a``, ``e_a`` counts the earlier positions with
+    a larger value and ``l_a`` the later ones with a smaller value.  The
+    stable-sort rank of ``a`` is ``r_a = a - e_a + l_a`` and the code is
+    ``sum_a e_a * (L - 1 - r_a)!``: shifted-slice comparisons, no sort.
+    """
     if L < 2:
         raise ValidationError("order L must be at least 2")
     if L > _MAX_ORDER:
@@ -178,13 +172,18 @@ def window_codes(series, L: int) -> np.ndarray:
     if x.size < L:
         raise DataError(f"series of length {x.size} is shorter than L={L}")
     n = x.size - L + 1
-    out = np.empty(n, dtype=np.int64)
-    view = sliding_window_view(x, L)
-    for lo in range(0, n, _CHUNK_WINDOWS):
-        hi = min(lo + _CHUNK_WINDOWS, n)
-        perms = np.argsort(view[lo:hi], axis=1, kind="stable")
-        out[lo:hi] = _codes_from_perms(perms)
-    return out
+    weight = np.array([factorial(L - 1 - r) for r in range(L)], dtype=np.int64)
+    earlier = np.zeros((L, n), dtype=np.int8)
+    codes = np.zeros(n, dtype=np.int64)
+    for a in range(L):
+        # e_a is complete here; l_a comes from comparing a with each later b
+        later = np.zeros(n, dtype=np.int8)
+        for b in range(a + 1, L):
+            above = x[a : a + n] > x[b : b + n]
+            later += above
+            earlier[b] += above
+        codes += earlier[a] * weight[a - earlier[a] + later]
+    return codes
 
 
 def pattern_census(series, L: int) -> PatternDistribution:

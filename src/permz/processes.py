@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -107,10 +107,13 @@ class ProcessSpec:
         }[self.kind]
         for field in ("hurst", "amplitude", "x0", "period", "delta",
                       "noiseless_residues", "sigma"):
-            if field not in allowed and getattr(self, field) is not None:
+            value = getattr(self, field)
+            if field not in allowed and value is not None:
                 raise ValidationError(
                     f"parameter {field!r} does not apply to kind {self.kind!r}"
                 )
+            if isinstance(value, Real) and not math.isfinite(value):
+                raise ValidationError(f"{field} must be finite")
 
         if self.kind in ("fgn", "fbm"):
             if self.hurst is None or not 0.0 < self.hurst < 1.0:

@@ -106,6 +106,12 @@ def test_fit_decay_errors():
     with_nan[5] = np.nan
     with pytest.raises(DataError):
         fit_decay(with_nan, 4)
+    # the order must be an integer in 2..20 (numpy integers accepted)
+    curve = 23.0 * np.exp(-0.1 * np.arange(36))
+    for bad in (1, 0, -3, 21, 2.5, 4.0, "4", None):
+        with pytest.raises(ValidationError):
+            fit_decay(curve, bad)
+    assert fit_decay(curve, np.int64(4)) == fit_decay(curve, 4)
 
 
 # -- noisy-periodic combinatorics ----------------------------------------------

@@ -83,6 +83,17 @@ def test_generate_invalid_hurst_exits_2(capsys):
     assert "hurst" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--process", "noisy-logistic", "--amplitude", "nan"),
+    ("--process", "xp", "--period", "2", "--delta", "inf"),
+    ("--process", "piecewise-linear", "--sigma", "inf"),
+])
+def test_generate_nonfinite_parameter_exits_2(argv, capsys):
+    code, out = run_cli("generate", *argv, "--length", "3")
+    assert code == 2 and out == ""
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_generate_stdout():
     code, out = run_cli("generate", "--process", "white-noise",
                         "--length", "5", "--seed", "3")

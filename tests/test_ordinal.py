@@ -4,7 +4,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from permz.analysis import stabilized_census
 from permz.errors import DataError, ValidationError
 from permz.ordinal import (
     OrdinalPattern,
@@ -16,7 +18,7 @@ from permz.ordinal import (
     visible_curve,
     window_codes,
 )
-from permz.processes import ProcessSpec, generate
+from permz.processes import KINDS, ProcessSpec, generate
 
 
 # -- rank vectors -----------------------------------------------------------
@@ -193,6 +195,62 @@ def test_window_codes_order_bound():
         window_codes(np.arange(21.0)[::-1], 21)
 
 
+def test_series_must_be_one_dimensional():
+    # a flattened 2-d array would count windows straddling the row boundary
+    x = np.arange(10.0).reshape(2, 5)
+    for census in (window_codes, pattern_census, stabilized_census):
+        with pytest.raises(ValidationError):
+            census(x, 3)
+        with pytest.raises(ValidationError):
+            census(np.float64(1.0), 3)
+
+
+def test_window_codes_signed_zero_ties_with_zero():
+    # -0.0 == 0.0, so the earlier of the two ranks lower, as in a stable sort
+    x = np.array([0.0, -0.0, 0.0, -0.0, 1.0])
+    assert window_codes(x, 5).tolist() == [0]
+    assert window_codes(x, 2).tolist() == [0, 0, 0, 0]
+
+
+_CHUNK_WINDOWS = 1 << 20
+
+
+def _codes_from_perms(perms: np.ndarray) -> np.ndarray:
+    """Vectorized Lehmer coding of permutation rows."""
+    n, L = perms.shape
+    codes = np.zeros(n, dtype=np.int64)
+    for i in range(L - 1):
+        smaller_after = (perms[:, i + 1 :] < perms[:, i : i + 1]).sum(axis=1)
+        codes += smaller_after * math.factorial(L - 1 - i)
+    return codes
+
+
+def reference_window_codes(series, L: int) -> np.ndarray:
+    """The argsort coder, kept as the oracle for ``window_codes``: a
+    stable argsort of every window, then Lehmer coding of the rows."""
+    x = np.asarray(series, dtype=np.float64)
+    n = x.size - L + 1
+    out = np.empty(n, dtype=np.int64)
+    view = sliding_window_view(x, L)
+    for lo in range(0, n, _CHUNK_WINDOWS):
+        hi = min(lo + _CHUNK_WINDOWS, n)
+        perms = np.argsort(view[lo:hi], axis=1, kind="stable")
+        out[lo:hi] = _codes_from_perms(perms)
+    return out
+
+
+_KIND_PARAMETERS = {"fgn": {"hurst": 0.3}, "fbm": {"hurst": 0.7},
+                    "xp": {"period": 3}, "piecewise-linear": {"sigma": 2.5}}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_window_codes_equal_reference_at_workload_length(kind):
+    x = generate(ProcessSpec(kind, length=50_000, seed=13,
+                             **_KIND_PARAMETERS.get(kind, {})))
+    for L in (2, 3, 7, 8, 14, 20):
+        assert np.array_equal(window_codes(x, L), reference_window_codes(x, L))
+
+
 # a few value levels make ties; a leading run of equal values makes
 # constant windows and windows that straddle the end of the run
 tie_heavy_series = st.builds(
@@ -205,7 +263,7 @@ tie_heavy_series = st.builds(
 
 
 @settings(max_examples=80, deadline=None)
-@given(x=tie_heavy_series, L=st.integers(2, 7))
+@given(x=tie_heavy_series, L=st.integers(2, 20))
 def test_window_codes_equal_per_window_lehmer_codes(x, L):
     assume(x.size >= L)
     want = [lehmer_encode(rank_vector(x[t : t + L])) for t in range(x.size - L + 1)]

@@ -62,6 +62,22 @@ def test_length_and_period_must_be_integers():
     assert np.array_equal(generate(spec), generate(plain))
 
 
+@pytest.mark.parametrize("kind, field, extra", [
+    ("fbm", "hurst", {}),
+    ("noisy-logistic", "amplitude", {}),
+    ("noisy-schuster", "x0", {}),
+    ("xp", "delta", {"period": 2}),
+    ("piecewise-linear", "sigma", {}),
+    ("piecewise-linear", "x0", {"sigma": 2.0}),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_real_parameters_must_be_finite(kind, field, extra, value):
+    # nan passes every range check written as a comparison, inf the
+    # one-sided ones; either would be written out as a series of nan
+    with pytest.raises(ValidationError):
+        ProcessSpec(kind, length=3, **extra, **{field: value})
+
+
 def test_known_entropies():
     assert ProcessSpec("logistic", length=5).known_entropies == (
         math.log(2), math.log(2)
