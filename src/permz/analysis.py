@@ -4,8 +4,9 @@ Covers exponential and stretched-exponential fits of the missing-pattern
 decay ``M_{L,T} = L! - A_{L,T}`` (an array over ``T = L, L+1, ...``, from
 the prefix curve ``A_{L,T}`` of :func:`permz.ordinal.visible_curve`),
 exact combinatorics of the noisy-periodic process family, growth-constant
-estimation, and empirical forbidden-pattern detection for deterministic
-maps.
+estimation, empirical forbidden-pattern detection for deterministic
+maps (a seen-mask over the ``L!`` codes), and the early-exit census,
+which counts by the one census rule of :mod:`permz.ordinal`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, permutations, product
-from numbers import Integral
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .ordinal import _MAX_ORDER, OrdinalPattern, PatternDistribution, window_codes
+from .ordinal import (
+    OrdinalPattern, PatternDistribution, _census, _check_order, window_codes,
+)
 from .processes import ProcessSpec, derive_seed, dither_kicks, generate, map_orbit
 from .rng import Stream
 
@@ -99,8 +101,7 @@ def fit_decay(missing, L: int, model: str = "exponential",
     """
     if model not in ("exponential", "stretched"):
         raise ValidationError("model must be 'exponential' or 'stretched'")
-    if not isinstance(L, Integral) or not 2 <= L <= _MAX_ORDER:
-        raise ValidationError(f"order L must be an integer in 2..{_MAX_ORDER}")
+    _check_order(L)
     t, m = _decay_points(missing, L)
     y = np.log(m)
 
@@ -173,6 +174,7 @@ def fit_decay(missing, L: int, model: str = "exponential",
 def _xp_counts(p: int, L: int) -> tuple[int, int, int, int]:
     if p < 2:
         raise ValidationError("period must be an integer >= 2")
+    _check_order(L, hi=math.inf)
     if L < p:
         raise ValidationError(
             f"window width L={L} below period p={p} is outside the supported range"
@@ -275,8 +277,7 @@ def xp_pattern_probabilities(
     """
     if p < 2:
         raise ValidationError("period must be an integer >= 2")
-    if L < 2:
-        raise ValidationError("window width must be at least 2")
+    _check_order(L, hi=math.inf)
     residues = (p - 1,) if noiseless_residues is None else tuple(noiseless_residues)
     if any(not 0 <= r < p for r in residues):
         raise ValidationError("noiseless residues must lie in 0..p-1")
@@ -366,21 +367,18 @@ def forbidden_patterns_of_map(
             "forbidden-pattern scans require a deterministic kind "
             "(logistic, piecewise-linear or shift)"
         )
-    if not 2 <= L <= 7:
-        raise ValidationError("enumeration is bounded to 2 <= L <= 7")
+    _check_order(L, hi=7)  # the result enumerates the missing patterns
     if n_orbits < 1 or orbit_len < L:
         raise ValidationError("need at least one orbit of length >= L")
     orbits = _orbit_batch(spec, n_orbits, orbit_len)
-    seen: set[int] = set()
-    fact = math.factorial(L)
+    seen = np.zeros(math.factorial(L), dtype=bool)
     for row in orbits:
-        seen.update(np.unique(window_codes(row, L)).tolist())
-        if len(seen) == fact:
+        seen[window_codes(row, L)] = True
+        if seen.all():
             break
     return {
         OrdinalPattern.from_code(code, L)
-        for code in range(fact)
-        if code not in seen
+        for code in np.flatnonzero(~seen).tolist()
     }
 
 
@@ -391,40 +389,14 @@ def forbidden_patterns_of_map(
 def stabilized_census(series, L: int) -> PatternDistribution:
     """Census that stops once the pattern distribution stabilizes.
 
-    Windows are taken in blocks of ``5 * L!``.  After each block the
-    running probabilities are compared with those one block earlier; the
-    census stops at the first block where no pattern's probability moved
-    by more than ``1e-4``.  Otherwise it runs through the whole series.
-    The consumed window count is ``total_windows`` of the result.
-
-    ``counts`` lists codes by the block in which each first occurs, then
-    by code, so a series of one block gives them in code order.  The
-    order is part of the result: ``probabilities`` follows it.
-
-    The early exit is a windowing rule, not a work saving: all
-    ``N - L + 1`` windows are coded first, and the rule only decides how
-    many of them are counted.
+    Windows are counted in blocks of ``5 * L!``.  The census stops at the
+    first block after which no pattern's running probability moved by
+    more than ``1e-4``, otherwise at the end of the series; the consumed
+    window count is ``total_windows``.  ``counts`` lists codes by the
+    block of their first occurrence, then by code, and ``probabilities``
+    follows that order: :func:`permz.ordinal.pattern_census` is the
+    one-block case of this rule.  All ``N - L + 1`` windows are coded
+    first, so the early exit decides how many are counted, not coded.
     """
     codes = window_codes(series, L)
-    n = codes.size
-    block = min(5 * math.factorial(L), n)
-    uniq, inv = np.unique(codes, return_inverse=True)
-    m = uniq.size
-    n_blocks = -(-n // block)
-    cell = np.arange(n)
-    cell //= block
-    cell *= m
-    cell += inv
-    cum = np.bincount(cell, minlength=n_blocks * m).reshape(n_blocks, m)
-    cum = cum.cumsum(axis=0)
-    used = cum.sum(axis=1)
-    drift = np.abs(np.diff(cum / used[:, None], axis=0)).max(axis=1)
-    settled = np.flatnonzero(drift <= 1e-4)
-    row = settled[0] + 1 if settled.size else n_blocks - 1
-    kept = np.lexsort((uniq, (cum > 0).argmax(axis=0)))
-    kept = kept[cum[row, kept] > 0]
-    return PatternDistribution(
-        order=L,
-        counts=dict(zip(uniq[kept].tolist(), cum[row, kept].tolist())),
-        total_windows=int(used[row]),
-    )
+    return _census(codes, L, min(5 * math.factorial(L), codes.size))

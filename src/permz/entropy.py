@@ -154,7 +154,7 @@ def lambert_n(x: float, n: int) -> float:
         v = y
         for _ in range(n):
             if v > _EXP_CLAMP:
-                raise NumericalError("lambert_n overflow in tower evaluation")
+                return math.inf, math.inf  # above the root: the solver bisects
             v = math.exp(v)
             towers.append(v)
         expn = towers[-1]

@@ -186,9 +186,8 @@ def _g_curve(series, L: int) -> np.ndarray:
     return np.log(ordinal.visible_curve(series, L))
 
 
-def _g_curve_and_support(series, L: int) -> tuple[np.ndarray, set[int]]:
-    support = set(np.unique(ordinal.window_codes(series, L)).tolist())
-    return _g_curve(series, L), support
+def _g_curve_and_support(series, L: int) -> tuple[np.ndarray, list[int]]:
+    return _g_curve(series, L), list(ordinal.pattern_census(series, L).counts)
 
 
 def missing_curves(series, orders) -> dict[int, np.ndarray]:
@@ -296,7 +295,8 @@ def _experiment_fig3(config: ExperimentConfig):
         members = _ensemble(config, j, name, spec, length,
                             partial(_g_curve_and_support, L=L))
         curves[name] = np.mean(np.vstack([g for g, _ in members]), axis=0)
-        supports[name] = len(set().union(*(seen for _, seen in members)))
+        seen = np.concatenate([support for _, support in members])
+        supports[name] = int(np.count_nonzero(np.bincount(seen)))
     ts = np.arange(L, length + 1)
     header = ["T"] + [name for name, _ in process_list]
     rows = [

@@ -6,13 +6,14 @@ counts as smaller.  Rank vectors are permutations of ``0..L-1`` and are
 keyed by their Lehmer code, an integer in ``[0, L!)``.
 
 All censuses slide a stride-1 window over the series, so a series of
-length ``N`` yields ``N - L + 1`` windows.
+length ``N`` yields ``N - L + 1`` windows, all counted by ``_census``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import factorial
+from dataclasses import dataclass, field
+from math import factorial, inf
+from numbers import Integral
 
 import numpy as np
 
@@ -32,6 +33,11 @@ __all__ = [
 _MAX_ORDER = 20  # 21! - 1 overflows the int64 codes
 
 
+def _check_order(L, hi=_MAX_ORDER) -> None:
+    if not isinstance(L, Integral) or not 2 <= L <= hi:
+        raise ValidationError(f"order L must be an integer at least 2, at most {hi}")
+
+
 @dataclass(frozen=True)
 class OrdinalPattern:
     """A rank vector together with its Lehmer code."""
@@ -40,8 +46,7 @@ class OrdinalPattern:
 
     def __post_init__(self):
         L = len(self.ranks)
-        if L < 2:
-            raise ValidationError("pattern length must be at least 2")
+        _check_order(L, hi=inf)
         if sorted(self.ranks) != list(range(L)):
             raise ValidationError(
                 f"ranks {self.ranks!r} are not a permutation of 0..{L - 1}"
@@ -66,39 +71,37 @@ class PatternDistribution:
 
     ``counts`` maps Lehmer codes to window counts; ``total_windows`` is
     the number of windows the census saw (``N - L + 1``).
+    ``probabilities`` (read-only, over the positive counts in dict order)
+    and ``support_size`` are computed once, at construction.
     """
 
     order: int
     counts: dict[int, int]
     total_windows: int
+    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
+    support_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.total_windows <= 0:
             raise DataError("census with no windows")
-        fact = factorial(self.order)
-        if len(self.counts) > fact:
-            raise ValidationError("more patterns than L! -- invalid census")
-        lo, hi = min(self.counts, default=0), max(self.counts, default=0)
-        if lo < 0 or hi >= fact:
+        n = len(self.counts)  # at most L! when every code is in range
+        try:
+            codes = np.fromiter(self.counts, np.int64, n)
+        except OverflowError:  # beyond int64, so beyond 20! - 1
+            raise ValidationError("a code is out of the int64 range") from None
+        lo, hi = codes.min(initial=0), codes.max(initial=0)
+        if lo < 0 or hi >= factorial(self.order):
             raise ValidationError(
                 f"code {lo if lo < 0 else hi} out of range for L={self.order}"
             )
-        if min(self.counts.values(), default=0) < 0:
+        counts = np.fromiter(self.counts.values(), np.int64, n)
+        if np.any(counts < 0):
             raise DataError("pattern counts must be nonnegative")
-        if sum(self.counts.values()) != self.total_windows:
+        if counts.sum() != self.total_windows:
             raise DataError("pattern counts do not add up to the window total")
-
-    @property
-    def support_size(self) -> int:
-        return sum(1 for c in self.counts.values() if c > 0)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Probabilities of the observed patterns (support only)."""
-        vals = np.fromiter(
-            (c for c in self.counts.values() if c > 0), dtype=np.float64
-        )
-        return vals / self.total_windows
+        self.probabilities = counts[counts > 0] / self.total_windows
+        self.probabilities.flags.writeable = False
+        self.support_size = self.probabilities.size
 
     def probability_of(self, pattern: OrdinalPattern | int) -> float:
         code = pattern.code if isinstance(pattern, OrdinalPattern) else pattern
@@ -143,8 +146,7 @@ def lehmer_encode(pattern) -> int:
 
 def lehmer_decode(code: int, length: int) -> tuple[int, ...]:
     """Inverse of :func:`lehmer_encode`."""
-    if length < 2:
-        raise ValidationError("pattern length must be at least 2")
+    _check_order(length, hi=inf)
     if not 0 <= code < factorial(length):
         raise ValidationError(f"code {code} out of range for length {length}")
     remaining = list(range(length))
@@ -164,10 +166,7 @@ def window_codes(series, L: int) -> np.ndarray:
     stable-sort rank of ``a`` is ``r_a = a - e_a + l_a`` and the code is
     ``sum_a e_a * (L - 1 - r_a)!``: shifted-slice comparisons, no sort.
     """
-    if L < 2:
-        raise ValidationError("order L must be at least 2")
-    if L > _MAX_ORDER:
-        raise ValidationError(f"order L must be at most {_MAX_ORDER}")
+    _check_order(L)
     x = _as_series(series)
     if x.size < L:
         raise DataError(f"series of length {x.size} is shorter than L={L}")
@@ -186,15 +185,42 @@ def window_codes(series, L: int) -> np.ndarray:
     return codes
 
 
-def pattern_census(series, L: int) -> PatternDistribution:
-    """Count the ordinal patterns of all stride-1 windows."""
-    codes = window_codes(series, L)
-    uniq, counts = np.unique(codes, return_counts=True)
+def _columns(codes: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted column keys and each window's column: every code is its own
+    column when ``L! <= n`` windows, else only the distinct codes are."""
+    if factorial(L) <= codes.size:
+        return np.arange(factorial(L)), codes
+    return np.unique(codes, return_inverse=True)
+
+
+def _census(codes: np.ndarray, L: int, block: int) -> PatternDistribution:
+    """The census rule: count in blocks with the stop rule and dict order
+    of :func:`permz.analysis.stabilized_census`; one block counts all."""
+    n = codes.size
+    keys, col = _columns(codes, L)
+    m = keys.size
+    n_blocks = -(-n // block)
+    cell = np.arange(n) // block * m + col  # row-major (block, column) cells
+    cum = np.bincount(cell, minlength=n_blocks * m).reshape(n_blocks, m)
+    cum = cum.cumsum(axis=0)
+    used = cum.sum(axis=1)
+    drift = np.abs(np.diff(cum / used[:, None], axis=0)).max(axis=1)
+    settled = np.flatnonzero(drift <= 1e-4)
+    row = settled[0] + 1 if settled.size else n_blocks - 1
+    kept = np.lexsort((keys, (cum > 0).argmax(axis=0)))
+    kept = kept[cum[row, kept] > 0]
     return PatternDistribution(
         order=L,
-        counts={int(c): int(k) for c, k in zip(uniq, counts)},
-        total_windows=int(codes.size),
+        counts=dict(zip(keys[kept].tolist(), cum[row, kept].tolist())),
+        total_windows=int(used[row]),
     )
+
+
+def pattern_census(series, L: int) -> PatternDistribution:
+    """Count the ordinal patterns of all stride-1 windows, in code
+    order: the one-block case of the census rule."""
+    codes = window_codes(series, L)
+    return _census(codes, L, codes.size)
 
 
 def visible_curve(series, L: int) -> np.ndarray:
@@ -207,6 +233,7 @@ def visible_curve(series, L: int) -> np.ndarray:
     are ``L! - curve`` and the complexity function is ``ln(curve)``.
     """
     codes = window_codes(series, L)
-    first_idx = np.unique(codes, return_index=True)[1]
-    return np.cumsum(np.bincount(first_idx, minlength=codes.size))
-
+    keys, col = _columns(codes, L)
+    first = np.full(keys.size, codes.size)  # codes.size: never seen
+    np.minimum.at(first, col, np.arange(codes.size))
+    return np.cumsum(np.bincount(first, minlength=codes.size + 1)[:-1])

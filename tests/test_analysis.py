@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permz.analysis import (
+    _orbit_batch,
     estimate_class_constant,
     fit_decay,
     forbidden_patterns_of_map,
@@ -16,6 +17,7 @@ from permz.analysis import (
     xp_distribution,
     xp_pattern_probabilities,
 )
+from permz.entropy import renyi_entropy
 from permz.errors import DataError, ValidationError
 from permz.experiments import missing_curves
 from permz.ordinal import (
@@ -141,6 +143,12 @@ def test_allowed_count_unsupported_range():
         xp_allowed_count(3, 2)
     with pytest.raises(ValidationError):
         xp_allowed_count(1, 4)
+    for bad in (4.0, 2.5, "4"):
+        with pytest.raises(ValidationError):
+            xp_allowed_count(2, bad)
+        with pytest.raises(ValidationError):
+            xp_pattern_probabilities(2, bad)
+    assert xp_allowed_count(np.int64(2), np.int64(5)) == 8
 
 
 def test_allowed_count_exact_big_integers():
@@ -177,6 +185,20 @@ def test_xp_renyi_closed_form():
     # alpha-monotone
     vals = [d.renyi(a) for a in (0.0, 0.5, 1.0, 1.5, 2.0)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(2, 4), extra=st.integers(0, 7),
+       alpha=st.one_of(st.sampled_from([0.0, 1.0]),
+                       st.floats(0.0, 6.0).filter(lambda a: abs(a - 1.0) > 1e-3)))
+def test_xp_analytics_normalized_and_equal_to_expanded_renyi(p, extra, alpha):
+    d = xp_distribution(p, p + extra)
+    assert d.N1 * d.P1 + d.N2 * d.P2 == 1  # exact rationals
+    assert d.allowed == d.N1 + d.N2 == xp_allowed_count(p, p + extra)
+    expanded = np.array([float(d.P1)] * d.N1 + [float(d.P2)] * d.N2)
+    # summation order differs; |1 - alpha| >= 1e-3 bounds the amplification
+    assert d.renyi(alpha) == pytest.approx(renyi_entropy(expanded, alpha),
+                                           rel=1e-10, abs=1e-10)
 
 
 def test_xp_class_constants():
@@ -307,11 +329,35 @@ def test_forbidden_shift_small_scale():
     assert len(forbidden4) == 6
 
 
+def reference_forbidden_patterns(spec, L, n_orbits, orbit_len):
+    """The np.unique + set-union scan, kept as the oracle for
+    ``forbidden_patterns_of_map`` (same orbits, no early exit)."""
+    seen: set[int] = set()
+    for row in _orbit_batch(spec, n_orbits, orbit_len):
+        seen.update(np.unique(window_codes(row, L)).tolist())
+    return {OrdinalPattern.from_code(code, L)
+            for code in range(math.factorial(L)) if code not in seen}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["logistic", "piecewise-linear", "shift"]),
+       L=st.integers(2, 7), n_orbits=st.integers(1, 4),
+       orbit_len=st.integers(7, 600), seed=st.integers(0, 2**32 - 1))
+def test_forbidden_scan_equals_set_union_oracle(kind, L, n_orbits, orbit_len, seed):
+    # orbit_len < L! for most draws at L >= 6: the per-orbit codes are sparse
+    extra = {"sigma": 2.7} if kind == "piecewise-linear" else {}
+    spec = ProcessSpec(kind, length=1, seed=seed, **extra)
+    assert forbidden_patterns_of_map(spec, L, n_orbits, orbit_len) == (
+        reference_forbidden_patterns(spec, L, n_orbits, orbit_len)
+    )
+
+
 def test_forbidden_validation():
     with pytest.raises(ValidationError):
         forbidden_patterns_of_map(ProcessSpec("white-noise", length=1), 3, 5, 100)
-    with pytest.raises(ValidationError):
-        forbidden_patterns_of_map(ProcessSpec("logistic", length=1), 8, 5, 100)
+    for bad in (8, 1, 3.0):
+        with pytest.raises(ValidationError):
+            forbidden_patterns_of_map(ProcessSpec("logistic", length=1), bad, 5, 100)
 
 
 # -- stabilized census ------------------------------------------------------------
@@ -399,4 +445,19 @@ def test_stabilized_census_equals_reference_on_ties(L, n, levels, seed):
 def test_stabilized_census_equals_reference_at_workload_length(kind, extra, L):
     # at T = 50 000 the stop rule fires part-way through the series
     x = generate(ProcessSpec(kind, length=50_000, seed=8, **extra))
+    assert_same_census(x, L)
+
+
+@settings(max_examples=20, deadline=None)
+@given(L=st.sampled_from([7, 8]), offset=st.integers(-60, 60),
+       levels=st.sampled_from([0, 2, 3, 6]), seed=st.integers(0, 2**32 - 1))
+def test_stabilized_census_equals_reference_around_l_factorial_windows(
+    L, offset, levels, seed
+):
+    # n = L! + offset windows, one block: one column per code above L!,
+    # np.unique below; levels > 0 gives a tie-heavy integer series
+    n = math.factorial(L) + offset
+    rng = np.random.default_rng(seed)
+    x = (rng.normal(size=n + L - 1) if levels == 0
+         else rng.integers(0, levels, size=n + L - 1).astype(float))
     assert_same_census(x, L)

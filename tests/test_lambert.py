@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permz.entropy import exp_iterated, lambert_n, lambert_w, log_iterated
 from permz.errors import NumericalError, ValidationError
@@ -117,3 +118,61 @@ def test_exp_log_iterated():
         exp_iterated(10.0, 3)  # tower exceeds the float range
     with pytest.raises(ValidationError):
         log_iterated(0.5, 2)
+
+
+# -- inverse identities (property tests) -------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.floats(1e-12, 0.05))
+def test_lambert_w_residual_near_branch_point(d):
+    x = -1.0 / math.e + d
+    w = lambert_w(x)
+    assert -1.0 <= w <= 0.0
+    # the documented residual bound, with the 10x slack of the last check
+    assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.floats(-0.5, 600.0))
+def test_lambert_w_inverts_y_exp_y(y):
+    # W'(x) = W / (x (1 + W)) stays bounded for y >= -0.5, so the residual
+    # bound carries over to y itself
+    assert abs(lambert_w(y * math.exp(y)) - y) <= 1e-11 * max(1.0, abs(y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(1e3, 1e300))
+def test_lambert_w_residual_at_large_x(x):
+    w = lambert_w(x)
+    assert abs(w * math.exp(w) - x) <= 1e-12 * x
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 4), e=st.floats(-12.0, 20.0))
+def test_lambert_n_residual_up_to_large_x(n, e):
+    # x up to 1e20 covers every Renyi entropy an order L <= 20 can reach
+    x = 10.0**e
+    y = lambert_n(x, n)
+    assert abs(y * exp_iterated(y, n) - x) <= 1e-12 * max(1.0, x)
+
+
+# y at which y * exp^(n)(y) reaches about 1e20
+_Y_MAX = {2: 3.8, 3: 1.3, 4: 0.29}
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 4), data=st.data())
+def test_lambert_n_inverts_y_tower(n, data):
+    y = data.draw(st.floats(0.0, _Y_MAX[n]))
+    # the tower is steep, so the residual bound pins y to a relative 1e-12
+    assert lambert_n(y * exp_iterated(y, n), n) == pytest.approx(y, rel=1e-11)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 3), d=st.floats(1e-9, 0.3))
+def test_lambert_n_residual_near_branch_point(n, d):
+    branch = -exp_iterated(-1.0, n)
+    x = branch + d * abs(branch)
+    y = lambert_n(x, n)
+    assert -1.0 <= y <= 0.0
+    assert abs(y * exp_iterated(y, n) - x) <= 1e-12 * max(1.0, abs(x))

@@ -86,6 +86,10 @@ def test_ordinal_pattern_type():
     assert rank_vector((0.5, 9.0, 0.7)).ranks == (0, 2, 1)
     with pytest.raises(ValidationError):
         OrdinalPattern((0, 2, 2))
+    for bad in (3.0, 1, "3"):
+        with pytest.raises(ValidationError):
+            lehmer_decode(0, bad)
+    assert lehmer_decode(5, np.int64(3)) == lehmer_decode(5, 3) == (2, 1, 0)
 
 
 # -- censuses ---------------------------------------------------------------
@@ -138,6 +142,15 @@ def test_pattern_distribution_invariants():
         PatternDistribution(order=3, counts={0: 3, 1: -1}, total_windows=2)
     with pytest.raises(DataError):
         PatternDistribution(order=3, counts={}, total_windows=1)
+    # a code beyond int64 is out of range for every order a census takes
+    with pytest.raises(ValidationError):
+        PatternDistribution(order=3, counts={2**70: 1}, total_windows=1)
+    # a zero count is kept in ``counts`` but is not in the support
+    dist = PatternDistribution(order=3, counts={0: 3, 1: 0}, total_windows=3)
+    assert dist.support_size == 1
+    assert dist.probabilities.tolist() == [1.0]
+    with pytest.raises(ValueError):
+        dist.probabilities[0] = 0.5  # shared by every reader: read-only
 
 
 # -- census trace: the prefix curve A_{L,T} of visible_curve, T = L, L+1, ... --
@@ -193,6 +206,14 @@ def test_window_codes_order_bound():
     ]
     with pytest.raises(ValidationError):
         window_codes(np.arange(21.0)[::-1], 21)
+    # the order is an integer (numpy integers too), never a float
+    x = np.arange(10.0)
+    for census in (window_codes, pattern_census, visible_curve, stabilized_census):
+        for bad in (3.0, 2.5, 1, 21, "3", None):
+            with pytest.raises(ValidationError):
+                census(x, bad)
+    assert window_codes(x, np.int64(3)).tolist() == window_codes(x, 3).tolist()
+    assert pattern_census(x, np.int64(3)).counts == pattern_census(x, 3).counts
 
 
 def test_series_must_be_one_dimensional():
@@ -283,3 +304,59 @@ def test_census_trace_monotone_bounded_and_equal_to_visible_curve(x, L, data):
     assert [int(curve[t - L]) for t in ts] == [
         len(set(codes[: t - L + 1].tolist())) for t in ts
     ]
+
+
+# -- the count rule: one column per code when L! <= n windows, else np.unique --
+
+def reference_pattern_census(series, L: int) -> PatternDistribution:
+    """The np.unique census, kept as the oracle for ``pattern_census``."""
+    codes = window_codes(series, L)
+    uniq, counts = np.unique(codes, return_counts=True)
+    return PatternDistribution(
+        order=L,
+        counts={int(c): int(k) for c, k in zip(uniq, counts)},
+        total_windows=int(codes.size),
+    )
+
+
+def reference_visible_curve(series, L: int) -> np.ndarray:
+    """The np.unique prefix curve, kept as the oracle for ``visible_curve``."""
+    codes = window_codes(series, L)
+    first_idx = np.unique(codes, return_index=True)[1]
+    return np.cumsum(np.bincount(first_idx, minlength=codes.size))
+
+
+def assert_census_and_curve_equal_references(x, L):
+    got, want = pattern_census(x, L), reference_pattern_census(x, L)
+    assert list(got.counts.items()) == list(want.counts.items())
+    assert got.total_windows == want.total_windows
+    support = [c for c in want.counts.values() if c > 0]
+    assert got.support_size == len(support)
+    # the probabilities the entropies sum, in dict order, bit for bit
+    expect = np.array(support, dtype=np.float64) / want.total_windows
+    assert got.probabilities.tobytes() == expect.tobytes()
+    curve = visible_curve(x, L)
+    assert curve.dtype == np.int64
+    assert np.array_equal(curve, reference_visible_curve(x, L))
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=st.sampled_from([7, 8]), offset=st.integers(-60, 60),
+       levels=st.sampled_from([0, 2, 3, 6]), seed=st.integers(0, 2**32 - 1))
+def test_census_and_curve_equal_references_around_l_factorial_windows(
+    L, offset, levels, seed
+):
+    # n = L! + offset windows: one column per code above, np.unique below;
+    # levels > 0 gives a tie-heavy integer series
+    n = math.factorial(L) + offset
+    rng = np.random.default_rng(seed)
+    x = (rng.normal(size=n + L - 1) if levels == 0
+         else rng.integers(0, levels, size=n + L - 1).astype(float))
+    assert_census_and_curve_equal_references(x, L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=tie_heavy_series, L=st.integers(2, 8))
+def test_census_and_curve_equal_references_on_short_series(x, L):
+    assume(x.size >= L)
+    assert_census_and_curve_equal_references(x, L)
