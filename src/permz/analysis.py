@@ -18,11 +18,14 @@ from itertools import chain, permutations, product
 
 import numpy as np
 
+from .entropy import _check_alpha, _is_shannon
 from .errors import DataError, ValidationError
 from .ordinal import (
     OrdinalPattern, PatternDistribution, _census, _check_order, window_codes,
 )
-from .processes import ProcessSpec, derive_seed, dither_kicks, generate, map_orbit
+from .processes import (
+    ProcessSpec, _check_period, derive_seed, dither_kicks, generate, map_orbit,
+)
 from .rng import Stream
 
 __all__ = [
@@ -172,8 +175,7 @@ def fit_decay(missing, L: int, model: str = "exponential",
 # ---------------------------------------------------------------------------
 
 def _xp_counts(p: int, L: int) -> tuple[int, int, int, int]:
-    if p < 2:
-        raise ValidationError("period must be an integer >= 2")
+    _check_period(p)
     _check_order(L, hi=math.inf)
     if L < p:
         raise ValidationError(
@@ -197,6 +199,7 @@ def xp_allowed_count(p: int, L: int) -> int:
 def xp_class_constant(p: int, mu: int) -> float:
     """Growth constant ``c`` of ``g(L) = c L ln L`` along the order
     subsequence ``L = nu*p + mu``."""
+    _check_period(p)
     if not 0 <= mu < p:
         raise ValidationError("residue mu must lie in 0..p-1")
     if mu in (0, p - 1):
@@ -227,16 +230,14 @@ class XpAnalytics:
 
     def renyi(self, alpha: float) -> float:
         """Renyi entropy of the two-level distribution, any alpha >= 0."""
-        alpha = float(alpha)
-        if not math.isfinite(alpha) or alpha < 0:
-            raise ValidationError("alpha must be a finite real >= 0")
+        alpha = _check_alpha(alpha)
         if alpha == 0.0:
             return math.log(self.allowed)
         p1 = float(self.P1)
         if self.N2 == 0:
             return math.log(self.N1)
         p2 = float(self.P2)
-        if abs(alpha - 1.0) < 1e-8:
+        if _is_shannon(alpha):
             return -(self.N1 * p1 * math.log(p1) + self.N2 * p2 * math.log(p2))
         return math.log(self.N1 * p1**alpha + self.N2 * p2**alpha) / (1.0 - alpha)
 
@@ -275,8 +276,7 @@ def xp_pattern_probabilities(
     index order).  Feasible for small ``p`` and ``L``; exponential in
     the group sizes.
     """
-    if p < 2:
-        raise ValidationError("period must be an integer >= 2")
+    _check_period(p)
     _check_order(L, hi=math.inf)
     residues = (p - 1,) if noiseless_residues is None else tuple(noiseless_residues)
     if any(not 0 <= r < p for r in residues):

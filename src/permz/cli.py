@@ -20,35 +20,23 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ordinal
 from .analysis import fit_decay, stabilized_census, xp_distribution
-from .entropy import ComplexityClass, entropy_report
+from .entropy import ComplexityClass, _check_alpha, entropy_report
 from .errors import DataError, PermzError, ValidationError
 from .experiments import (
     EXPERIMENTS, ExperimentConfig, missing_curves, run_ensemble, run_experiment,
 )
 from .ordinal import lehmer_decode, pattern_census, visible_curve
-from .processes import KINDS, ProcessSpec, derive_seed, generate
+from .processes import KINDS, ProcessSpec, _check_count, derive_seed, generate
 
-__all__ = ["main", "RunConfig", "read_series", "write_series"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to replay one CLI invocation."""
-
-    command: str
-    version: str
-    options: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, default=str)
+__all__ = ["main", "read_series", "write_series"]
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +77,11 @@ def write_series(path: str, series: np.ndarray) -> None:
 def _write_sidecar(args) -> None:
     """Record the invocation beside ``args.output`` as ``<output>.json``."""
     options = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    config = RunConfig(command=args.command, version=__version__, options=options)
+    config = {"command": args.command, "version": __version__, "options": options}
     sidecar = Path(str(args.output) + ".json")
     try:
-        sidecar.write_text(config.to_json() + "\n")
+        sidecar.write_text(json.dumps(config, indent=2, sort_keys=True, default=str)
+                           + "\n")
     except OSError as exc:
         raise DataError(f"cannot write sidecar {sidecar}: {exc}") from exc
 
@@ -123,20 +112,22 @@ def _emit(header: list[str], rows: list[list], args) -> None:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-def _parse_orders(text: str) -> tuple[int, ...]:
+def _parse_orders(text: str, hi=ordinal._MAX_ORDER) -> tuple[int, ...]:
     text = text.strip()
     try:
         if ":" in text:
-            lo, hi = text.split(":", 1)
-            orders = tuple(range(int(lo), int(hi) + 1))
+            first, last = text.split(":", 1)
+            orders = tuple(range(int(first), int(last) + 1))
         else:
             orders = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
+        if not orders:
+            raise ValueError("the range is empty")
+        for L in orders:
+            ordinal._check_order(L, hi)
+    except ValueError as exc:  # ValidationError included
         raise ValidationError(
-            f"bad orders {text!r}; use e.g. '6', '3,5,7' or '3:7'"
+            f"bad --orders {text!r} ({exc}); use e.g. '6', '3,5,7' or '3:7'"
         ) from None
-    if not orders or any(L < 2 for L in orders):
-        raise ValidationError("orders must all be >= 2")
     return orders
 
 
@@ -145,9 +136,7 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
         alphas = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValidationError(f"bad alpha list {text!r}") from None
-    if any(a < 0 for a in alphas):
-        raise ValidationError("alpha values must be >= 0")
-    return alphas
+    return tuple(_check_alpha(a) for a in alphas)
 
 
 def _add_process_args(parser: argparse.ArgumentParser, require: bool = False):
@@ -209,8 +198,7 @@ def _load_sources(args, default_length: int) -> tuple[str, list]:
     if args.input:
         return args.input[0], [read_series(path) for path in args.input]
     spec = _spec_from_args(args, default_length)
-    if args.realizations < 1:
-        raise ValidationError("realizations must be at least 1")
+    _check_count("realizations", args.realizations)
     return args.process, [
         replace(spec, seed=derive_seed(args.seed, i))
         for i in range(args.realizations)
@@ -345,7 +333,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_xp(args) -> int:
-    orders = _parse_orders(args.orders)
+    orders = _parse_orders(args.orders, hi=math.inf)
     alphas = _parse_alphas(args.alpha)
     header = ["period", "L", "nu", "mu", "N1", "N2", "P1", "P2", "allowed",
               "c"] + [f"R_a{a:g}" for a in alphas]

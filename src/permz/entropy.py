@@ -1,28 +1,30 @@
 """Renyi entropies, Lambert-W inverses, and class-specific Z-entropies.
 
 A complexity class is the growth law ``g`` of the log allowed-pattern
-count.  Its Z-entropy is ``g^{-1}(R_alpha(p)) - g^{-1}(0)``, which is
-zero on singular distributions and extensive over uniform ones.  The
-supported growth laws and their inverses:
+count.  Every supported law is ``g(t) = c * t * ln^(n)(t)``, with
+``ln^(0)`` read as 1.  Its Z-entropy is ``g^{-1}(R_alpha(p)) - g^{-1}(0)``,
+which is zero on singular distributions and extensive over uniform ones:
 
-=================  ==================  ===============================
-family             g(t)                g^{-1}(s)
-=================  ==================  ===============================
-exponential(c)     c*t                 s/c
-factorial          t*ln(t)             exp(W(s))
-sub_factorial(c)   c*t*ln(t), 0<c<1    exp(W(s/c))
-sub_iterated_log   t*ln^(n)(t), n>=2   exp^(n)(W_n(s))
-=================  ==================  ===============================
+=================  ======  ======  ===================  =================
+class              c       n       g(t)                 g^{-1}(s)
+=================  ======  ======  ===================  =================
+exponential(c)     c > 0   0       c*t                  s/c
+factorial          1       1       t*ln(t)              exp(W(s))
+sub_factorial(c)   0<c<1   1       c*t*ln(t)            exp(W(s/c))
+sub_iterated_log   1       n >= 2  t*ln^(n)(t)          exp^(n)(W_n(s))
+=================  ======  ======  ===================  =================
 
-``W`` is the principal real Lambert function (inverse of ``y*e^y``) and
-``W_n`` its tower generalization, the inverse of ``y*exp^(n)(y)`` on
-``y >= 0``.  Entropy values are in nats throughout.
+``W = W_1`` is the principal real Lambert function (inverse of
+``y*e^y``) and ``W_n`` its tower generalization, the inverse of
+``y*exp^(n)(y)`` on ``y >= 0``.  Entropy values are in nats throughout.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -46,7 +48,7 @@ __all__ = [
 
 _BRANCH_POINT = -math.exp(-1.0)
 _BRANCH_SLACK = 1e-12
-_EXP_CLAMP = 700.0  # just below log of the float64 overflow threshold
+_EXP_MAX = math.log(sys.float_info.max)  # the largest v with a finite exp(v)
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +104,13 @@ def lambert_w(x: float) -> float:
 
 def exp_iterated(x: float, n: int) -> float:
     """``exp`` composed ``n`` times.  Raises on float overflow rather
-    than returning infinity (intermediate exponents are capped at 700).
-    """
+    than returning infinity."""
     if n < 0:
         raise ValidationError("iteration count must be nonnegative")
     v = float(x)
     for _ in range(n):
-        if v > _EXP_CLAMP:
-            raise NumericalError(f"exp_iterated overflow: exponent {v} > 700")
+        if v > _EXP_MAX:
+            raise NumericalError(f"exp_iterated overflow: exp({v}) is not finite")
         v = math.exp(v)
     return v
 
@@ -131,15 +132,17 @@ def lambert_n(x: float, n: int) -> float:
     """Generalized Lambert inverse: the ``y`` solving
     ``y * exp^(n)(y) = x`` with ``y >= -1``.
 
-    The map is strictly increasing on ``y >= 0`` for every ``n`` (and
-    on all of ``[-1, oo)`` for ``n <= 3``), so the root is bracketed by
-    doubling and polished by Newton steps safeguarded with bisection,
-    down to a relative residual of 1e-12.  Arguments below zero are
-    accepted down to the branch point ``-exp^(n)(-1)`` for ``n <= 3``;
-    entropy computations only ever need ``x >= 0``.  ``n=1`` delegates
-    to :func:`lambert_w`.
+    For ``x > 0`` the root is found in ``u = ln y``: the increasing,
+    convex ``phi(u) = u + exp^(n-1)(e^u) - ln x`` (with ``ln y`` of the
+    returned, normal ``y`` for ``u``) falls to ``|phi| <= 1e-12``, a
+    relative residual of 1e-12.  Arguments down to the branch point
+    ``-exp^(n)(-1)`` are solved in ``y`` for ``n <= 3``, where the map
+    increases on ``[-1, 0]``, to an absolute residual of 1e-12.  Newton
+    steps start at the top of the bracket; one that leaves it, or is not
+    under half the step before last, is replaced by bisection.  ``n=1``
+    delegates to :func:`lambert_w`; entropies only need ``x >= 0``.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, Integral) or n < 1:
         raise ValidationError("n must be an integer >= 1")
     x = float(x)
     if not math.isfinite(x):
@@ -149,19 +152,21 @@ def lambert_n(x: float, n: int) -> float:
     if x == 0.0:
         return 0.0
 
-    def f_and_deriv(y: float) -> tuple[float, float]:
-        towers = []
-        v = y
-        for _ in range(n):
-            if v > _EXP_CLAMP:
-                return math.inf, math.inf  # above the root: the solver bisects
-            v = math.exp(v)
-            towers.append(v)
-        expn = towers[-1]
-        dexpn = math.prod(towers)
-        return y * expn - x, expn + y * dexpn
+    if x > 0.0:
+        ln_x = math.log(x)
 
-    if x < 0.0:
+        def f(u: float) -> tuple[float, float]:
+            try:  # y = e^u, exp(y), ..., exp^(n-1)(y)
+                towers = [exp_iterated(u, k) for k in range(1, n + 1)]
+            except NumericalError:
+                return math.inf, math.inf  # above the root: the solver bisects
+            ln_y = math.log(towers[0]) if towers[0] >= sys.float_info.min else u
+            return ln_y + towers[-1] - ln_x, 1.0 + math.prod(towers)
+
+        # phi(hi) >= 0 as e^u > 0, and phi(lo) <= 0 as e^lo <= 1
+        hi = ln_x - exp_iterated(0.0, n - 1)
+        lo = min(0.0, ln_x - exp_iterated(1.0, n - 1))
+    else:
         if n > 3:
             raise ValidationError(
                 "negative arguments are supported only for n <= 3 "
@@ -174,25 +179,26 @@ def lambert_n(x: float, n: int) -> float:
             )
         if x <= branch_min:
             return -1.0
-        lo, hi = -1.0, 0.0
-    else:
-        lo, hi = 0.0, 1.0
-        while f_and_deriv(hi)[0] < 0.0:
-            lo = hi
-            hi *= 2.0
 
-    y = 0.5 * (lo + hi)
-    tol = 1e-12 * max(1.0, abs(x))
+        def f(y: float) -> tuple[float, float]:
+            towers = [exp_iterated(y, k) for k in range(1, n + 1)]
+            return y * towers[-1] - x, towers[-1] + y * math.prod(towers)
+
+        lo, hi = -1.0, 0.0
+
+    root, last, before = hi, math.inf, math.inf
     for _ in range(200):
-        f, df = f_and_deriv(y)
-        if abs(f) <= tol:
-            return y
-        if f > 0.0:
-            hi = y
+        value, slope = f(root)
+        if abs(value) <= 1e-12:
+            return math.exp(root) if x > 0.0 else root
+        if value > 0.0:
+            hi = root
         else:
-            lo = y
-        step = y - f / df
-        y = step if lo < step < hi else 0.5 * (lo + hi)
+            lo = root
+        step = root - value / slope
+        if not (lo < step < hi and abs(step - root) <= 0.5 * before):
+            step = 0.5 * (lo + hi)
+        root, last, before = step, abs(step - root), last
     raise NumericalError(f"lambert_n did not converge for x={x}, n={n}")
 
 
@@ -202,46 +208,43 @@ def lambert_n(x: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class ComplexityClass:
-    """Growth law of the log allowed-pattern count.
+    """Growth law ``g(t) = c*t*ln^(n)(t)``, ``ln^(0) = 1``, of the log
+    allowed-pattern count.
 
     Build instances through the class methods (or :meth:`parse` for the
     CLI tokens ``exp:c``, ``fac``, ``sub:c``, ``subn:n``).
     """
 
-    family: str
-    c: float | None = None
-    n: int | None = None
+    c: float
+    n: int
 
     def __post_init__(self):
-        if self.family == "exponential":
-            if self.c is None or not self.c > 0:
-                raise ValidationError("exponential class requires c > 0")
-        elif self.family == "factorial":
-            pass
-        elif self.family == "sub_factorial":
-            if self.c is None or not 0 < self.c < 1:
-                raise ValidationError("sub-factorial class requires 0 < c < 1")
-        elif self.family == "sub_iterated_log":
-            if self.n is None or not isinstance(self.n, int) or self.n < 2:
-                raise ValidationError("iterated-log class requires integer n >= 2")
-        else:
-            raise ValidationError(f"unknown complexity class {self.family!r}")
+        if not isinstance(self.n, Integral) or self.n < 0:
+            raise ValidationError("class order n must be an integer >= 0")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValidationError("class constant c must be finite and > 0")
+        if self.c > 1 and self.n >= 1 or self.c != 1 and self.n >= 2:
+            raise ValidationError("class constant c must be <= 1 at n = 1, 1 at n >= 2")
 
     @classmethod
     def exponential(cls, c: float) -> "ComplexityClass":
-        return cls("exponential", c=float(c))
+        return cls(float(c), 0)
 
     @classmethod
     def factorial(cls) -> "ComplexityClass":
-        return cls("factorial")
+        return cls(1.0, 1)
 
     @classmethod
     def sub_factorial(cls, c: float) -> "ComplexityClass":
-        return cls("sub_factorial", c=float(c))
+        if c == 1:  # (1, 1) is the factorial class
+            raise ValidationError("sub-factorial class requires 0 < c < 1")
+        return cls(float(c), 1)
 
     @classmethod
     def sub_iterated_log(cls, n: int) -> "ComplexityClass":
-        return cls("sub_iterated_log", n=int(n))
+        if n < 2:  # (1, 0) and (1, 1) are the exponential and factorial classes
+            raise ValidationError("iterated-log class requires integer n >= 2")
+        return cls(1.0, n)
 
     @classmethod
     def parse(cls, token: str) -> "ComplexityClass":
@@ -262,45 +265,30 @@ class ComplexityClass:
         )
 
     def token(self) -> str:
-        if self.family == "exponential":
+        if self.n == 0:
             return f"exp:{self.c:g}"
-        if self.family == "factorial":
-            return "fac"
-        if self.family == "sub_factorial":
-            return f"sub:{self.c:g}"
+        if self.n == 1:
+            return "fac" if self.c == 1 else f"sub:{self.c:g}"
         return f"subn:{self.n}"
 
     def growth(self, t: float) -> float:
         """The law ``g(t)`` itself."""
-        if self.family == "exponential":
-            return self.c * t
-        if self.family == "factorial":
-            return t * math.log(t)
-        if self.family == "sub_factorial":
-            return self.c * t * math.log(t)
-        return t * log_iterated(t, self.n)
+        return self.c * t * (log_iterated(t, self.n) if self.n else 1.0)
 
     def inverse(self, s: float) -> float:
-        """``g^{-1}(s)`` for ``s >= 0``."""
+        """``g^{-1}(s)`` for ``s >= 0``: ``s / c``, or
+        ``exp^(n)(W_n(s / c))`` for ``n >= 1``."""
         if s < 0:
             raise ValidationError("inverse growth is only used for s >= 0")
-        if self.family == "exponential":
+        if not self.n:
             return s / self.c
-        if self.family == "factorial":
-            return math.exp(lambert_w(s))
-        if self.family == "sub_factorial":
-            return math.exp(lambert_w(s / self.c))
-        return exp_iterated(lambert_n(s, self.n), self.n)
+        return exp_iterated(lambert_n(s / self.c, self.n), self.n)
 
     @property
     def inverse_zero(self) -> float:
         """``g^{-1}(0)``, the additive offset that zeroes singular
         distributions."""
-        if self.family == "exponential":
-            return 0.0
-        if self.family in ("factorial", "sub_factorial"):
-            return 1.0
-        return exp_iterated(0.0, self.n)
+        return exp_iterated(0.0, self.n) if self.n else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +311,19 @@ def _as_probabilities(dist) -> np.ndarray:
     return p
 
 
+def _check_alpha(alpha, positive: bool = False) -> float:
+    """The alpha guard: a finite real >= 0, or > 0 for a Z-entropy (whose
+    alpha = 0 case is :func:`z_topological`); returns alpha as a float."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha < 0 or positive and alpha == 0:
+        raise ValidationError(f"alpha must be finite and {'>' if positive else '>='} 0")
+    return alpha
+
+
+def _is_shannon(alpha: float) -> bool:
+    return abs(alpha - 1.0) < 1e-8  # the Shannon limit of the Renyi family
+
+
 def renyi_entropy(dist, alpha: float) -> float:
     """Renyi entropy of order ``alpha`` in nats (``k = 1``).
 
@@ -330,25 +331,19 @@ def renyi_entropy(dist, alpha: float) -> float:
     1e-8) the Shannon entropy, otherwise
     ``(1 - alpha)^{-1} * ln(sum p_i^alpha)``.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0:
-        raise ValidationError("alpha must be a finite real >= 0")
+    alpha = _check_alpha(alpha)
     p = _as_probabilities(dist)
     support = p[p > 0.0]
     if alpha == 0.0:
         return float(np.log(support.size))
-    if abs(alpha - 1.0) < 1e-8:
+    if _is_shannon(alpha):
         return float(-np.sum(support * np.log(support)))
     return float(np.log(np.sum(support**alpha)) / (1.0 - alpha))
 
 
 def z_entropy(dist, complexity_class: ComplexityClass, alpha: float) -> float:
     """Z-entropy ``g^{-1}(R_alpha(p)) - g^{-1}(0)`` for ``alpha > 0``."""
-    if float(alpha) <= 0.0:
-        raise ValidationError(
-            "alpha must be positive; use z_topological for the alpha=0 case"
-        )
-    r = renyi_entropy(dist, alpha)
+    r = renyi_entropy(dist, _check_alpha(alpha, positive=True))
     return complexity_class.inverse(r) - complexity_class.inverse_zero
 
 

@@ -49,9 +49,9 @@ import numpy as np
 # wrapper installed on permz.ordinal (as tracing does) sees these calls
 from . import __version__, ordinal
 from .analysis import fit_decay, stabilized_census, xp_allowed_count, xp_class_constant
-from .entropy import ComplexityClass, z_entropy
+from .entropy import ComplexityClass, _check_alpha, z_entropy
 from .errors import DataError, PermzError, ValidationError
-from .processes import ProcessSpec, generate
+from .processes import ProcessSpec, _check_count, generate
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "ExperimentResult", "run_experiment",
            "run_ensemble", "pool_size", "missing_curves",
@@ -100,12 +100,10 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.realizations < 1:
-            raise ValidationError("realizations must be at least 1")
-        if self.jobs < 1:
-            raise ValidationError("jobs must be at least 1")
-        if any(a <= 0 for a in self.alphas):
-            raise ValidationError("alphas must be positive (0 is topological)")
+        _check_count("realizations", self.realizations)
+        _check_count("jobs", self.jobs)
+        for alpha in self.alphas:
+            _check_alpha(alpha, positive=True)
 
 
 @dataclass
@@ -128,8 +126,7 @@ def member_seed(base: int, process_index: int, realization: int) -> int:
 def pool_size(jobs: int, members: int) -> int:
     """Worker processes for an ensemble of ``members`` at ``jobs``: never
     more than the members or the CPUs; 1 means no pool."""
-    if jobs < 1:
-        raise ValidationError("jobs must be at least 1")
+    _check_count("jobs", jobs)
     return max(1, min(jobs, members, os.cpu_count() or 1))
 
 

@@ -67,6 +67,16 @@ _NOISE_AMPLITUDE = {"noisy-logistic": 0.30, "noisy-schuster": 0.25}
 _XP_AMPLITUDE_MARGIN = 1e-9  # keeps noise strictly below delta/2
 
 
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, Integral) or value < 1:
+        raise ValidationError(f"{name} must be an integer at least 1")
+
+
+def _check_period(p) -> None:
+    if not isinstance(p, Integral) or p < 2:
+        raise ValidationError("period must be an integer >= 2")
+
+
 @dataclass(frozen=True)
 class ProcessSpec:
     """Full description of one generator run.
@@ -92,8 +102,7 @@ class ProcessSpec:
             raise ValidationError(
                 f"unknown process kind {self.kind!r}; choose from {', '.join(KINDS)}"
             )
-        if not isinstance(self.length, Integral) or self.length < 1:
-            raise ValidationError("length must be a positive integer")
+        _check_count("length", self.length)
         allowed = {
             "white-noise": set(),
             "fgn": {"hurst"},
@@ -125,8 +134,7 @@ class ProcessSpec:
             if self.x0 is not None and not 0.0 < self.x0 < 1.0:
                 raise ValidationError("x0 must lie inside (0, 1)")
         if self.kind == "xp":
-            if not isinstance(self.period, Integral) or self.period < 2:
-                raise ValidationError("period must be an integer >= 2")
+            _check_period(self.period)
             if self.delta is not None and not self.delta > 0:
                 raise ValidationError("delta must be positive")
             if self.noiseless_residues is not None:
@@ -164,24 +172,21 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 
 def fgn_autocovariance(hurst: float, lag: int) -> float:
-    """Autocovariance of unit-variance fractional Gaussian noise:
-    ``0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})``."""
-    if not 0.0 < hurst < 1.0:
-        raise ValidationError("hurst must lie strictly inside (0, 1)")
-    if lag < 0:
+    """Autocovariance of unit-variance fractional Gaussian noise at ``lag``
+    (or an array of lags): ``0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})``."""
+    ProcessSpec("fgn", length=1, hurst=hurst)  # the spec holds the hurst guard
+    k = np.asarray(lag, dtype=np.float64)
+    if np.any(k < 0):
         raise ValidationError("lag must be nonnegative")
-    k = float(lag)
     h2 = 2.0 * hurst
-    return 0.5 * (abs(k + 1) ** h2 - 2.0 * abs(k) ** h2 + abs(k - 1) ** h2)
+    return 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2)
 
 
 def _fgn(n: int, hurst: float, stream: Stream) -> np.ndarray:
     """Exact-covariance fGn via circulant embedding, O(n log n)."""
     if n == 1:
         return stream.gaussians(1)
-    k = np.arange(n + 1, dtype=np.float64)
-    h2 = 2.0 * hurst
-    gamma = 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2)
+    gamma = fgn_autocovariance(hurst, np.arange(n + 1))
     row = np.concatenate([gamma, gamma[-2:0:-1]])
     lam = np.fft.fft(row).real
     if lam.min() < -1e-6:

@@ -461,3 +461,15 @@ def test_stabilized_census_equals_reference_around_l_factorial_windows(
     x = (rng.normal(size=n + L - 1) if levels == 0
          else rng.integers(0, levels, size=n + L - 1).astype(float))
     assert_same_census(x, L)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: xp_allowed_count(2.5, 5), id="allowed-count"),
+    pytest.param(lambda: xp_pattern_probabilities(2.5, 4), id="oracle"),
+    pytest.param(lambda: xp_class_constant(1, 0), id="constant-period-1"),
+    pytest.param(lambda: xp_class_constant(2.5, 0), id="constant-period-2.5"),
+    pytest.param(lambda: xp_distribution(np.float64(3.0), 6), id="distribution"),
+])
+def test_period_outside_its_domain_raises_validation_error(call):
+    with pytest.raises(ValidationError, match="period"):
+        call()

@@ -356,3 +356,30 @@ def test_experiment_fig1_takes_orders(tmp_path):
     assert code == 0
     meta = json.loads((tmp_path / "fig1_metadata.json").read_text())
     assert meta["config"]["orders"] == [3, 4]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("entropy", "--orders", "21"), "--orders"),
+    (("entropy", "--alpha", "nan"), "alpha"),
+    (("experiment", "fig1", "--orders", "3:21"), "--orders"),
+    (("experiment", "fig1", "--alpha", "inf"), "alpha"),
+])
+def test_bad_parameter_exits_2_before_any_series_is_generated(
+        argv, named, monkeypatch, tmp_path, capsys):
+    def generate(spec):  # a generated member would surface as exit 3
+        raise AssertionError("a series was generated")
+
+    monkeypatch.setattr("permz.experiments.generate", generate)
+    where = (("--process", "white-noise", "--length", "500") if argv[0] == "entropy"
+             else ("--output-dir", str(tmp_path)))
+    code, out = run_cli(*argv, *where)
+    assert code == 2 and out == ""
+    assert named in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_xp_orders_are_not_bounded_by_the_code_width():
+    code, out = run_cli("xp", "--period", "3", "--orders", "20:22", "--alpha", "1")
+    assert code == 0
+    _, rows = read_csv_text(out)
+    assert [int(row[1]) for row in rows] == [20, 21, 22]

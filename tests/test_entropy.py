@@ -1,8 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from class_oracle import ComplexityClass as OracleClass
 from permz.entropy import (
     ComplexityClass,
     entropy_rate_estimate,
@@ -13,6 +16,7 @@ from permz.entropy import (
     z_entropy,
     z_topological,
 )
+from permz.analysis import xp_distribution
 from permz.errors import DataError, ValidationError
 from permz.ordinal import pattern_census
 from permz.processes import ProcessSpec, generate
@@ -119,11 +123,81 @@ def test_class_inverse_round_trip():
     ]
     for cls in classes:
         for t in (1.5, 3.0, 10.0, 40.0):
-            if cls.family == "sub_iterated_log" and t <= exp_iterated(0.0, cls.n):
+            if cls.n >= 2 and t <= exp_iterated(0.0, cls.n):
                 continue
             s = cls.growth(t)
             assert cls.inverse(s) == pytest.approx(t, rel=1e-9)
         assert cls.inverse(0.0) == pytest.approx(cls.inverse_zero, rel=1e-12)
+
+
+# s = 0, or log-uniform over [1e-300, 1.7e308]
+_S = st.one_of(st.just(0.0),
+               st.floats(-300.0, math.log10(1.7e308)).map(lambda e: 10.0**e))
+
+
+def _outcome(method, s):
+    try:
+        return method(s), None
+    except Exception as exc:
+        return None, type(exc)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("exponential", (0.25,)), ("exponential", (1.0,)), ("exponential", (2.5,)),
+    ("factorial", ()),
+    ("sub_factorial", (0.3,)), ("sub_factorial", (2 / 3,)), ("sub_factorial", (1e-3,)),
+])
+@settings(max_examples=150, deadline=None)
+@given(s=_S)
+@example(s=1e-300)
+@example(s=7e306)  # from here W(s) > 700, which the old exp_iterated capped
+@example(s=1.7e308)
+def test_class_matches_the_family_oracle_bit_for_bit(name, args, s):
+    new, old = getattr(ComplexityClass, name)(*args), getattr(OracleClass, name)(*args)
+    assert (new.token(), new.inverse_zero) == (old.token(), old.inverse_zero)
+    for method in ("growth", "inverse"):
+        want, want_error = _outcome(getattr(old, method), s)
+        got, got_error = _outcome(getattr(new, method), s)
+        if want_error is None:
+            assert got_error is None
+            assert struct.pack("<d", got) == struct.pack("<d", want)
+        else:  # growth(0) of the log laws: a bare ValueError in the oracle
+            assert got_error is not None and issubclass(got_error, want_error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 4), s=_S)
+def test_iterated_log_class_matches_the_family_oracle(n, s):
+    new, old = ComplexityClass.sub_iterated_log(n), OracleClass.sub_iterated_log(n)
+    assert (new.token(), new.inverse_zero) == (old.token(), old.inverse_zero)
+    for method in ("growth", "inverse"):
+        want, want_error = _outcome(getattr(old, method), s)
+        if want_error is None:
+            # both solvers stop at a relative residual of 1e-12, so two
+            # correct inverses may differ by the sum of the two
+            assert getattr(new, method)(s) == pytest.approx(want, rel=2e-12)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ComplexityClass.exponential(math.inf), id="exp-inf"),
+    pytest.param(lambda: ComplexityClass.exponential(math.nan), id="exp-nan"),
+    pytest.param(lambda: ComplexityClass.sub_factorial(math.nan), id="sub-nan"),
+    pytest.param(lambda: ComplexityClass.sub_iterated_log(2.5), id="subn-2.5"),
+    pytest.param(lambda: ComplexityClass.sub_iterated_log(0), id="subn-0"),
+    pytest.param(lambda: ComplexityClass.parse("subn:1"), id="subn:1"),
+    pytest.param(lambda: ComplexityClass.parse("sub:1"), id="sub:1"),
+    pytest.param(lambda: renyi_entropy([0.5, 0.5], math.nan), id="renyi-nan"),
+    pytest.param(lambda: renyi_entropy([0.5, 0.5], math.inf), id="renyi-inf"),
+    pytest.param(lambda: z_entropy([0.5, 0.5], ComplexityClass.factorial(), math.nan),
+                 id="z-nan"),
+    pytest.param(lambda: z_entropy([0.5, 0.5], ComplexityClass.factorial(), math.inf),
+                 id="z-inf"),
+    pytest.param(lambda: xp_distribution(2, 5).renyi(math.nan), id="xp-renyi-nan"),
+    pytest.param(lambda: xp_distribution(2, 5).renyi(-1.0), id="xp-renyi-negative"),
+])
+def test_out_of_domain_class_or_alpha_raises_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 # -- Z-entropies ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -64,3 +65,19 @@ def test_experiment_order_error_keeps_its_class():
     config = ExperimentConfig(orders=(1,), realizations=1, t_max=100)
     with pytest.raises(ValidationError, match="at least 2"):
         run_experiment("fig1", config)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"alphas": (math.nan,)}, {"alphas": (math.inf,)}, {"alphas": (0.0,)},
+    {"realizations": 2.5}, {"jobs": 1.5},
+], ids=["alpha-nan", "alpha-inf", "alpha-0", "realizations-2.5", "jobs-1.5"])
+def test_experiment_config_rejects_values_outside_their_domain(kwargs):
+    with pytest.raises(ValidationError):
+        ExperimentConfig(**kwargs)
+
+
+def test_fractional_jobs_raise_validation_error_before_any_member():
+    with pytest.raises(ValidationError, match="at least 1"):
+        pool_size(1.5, 2)
+    with pytest.raises(ValidationError, match="at least 1"):
+        run_ensemble(_raise_foreign, [np.zeros(3)] * 2, 1.5, "x")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permz.entropy import exp_iterated, lambert_n, lambert_w, log_iterated
 from permz.errors import NumericalError, ValidationError
@@ -176,3 +176,16 @@ def test_lambert_n_residual_near_branch_point(n, d):
     y = lambert_n(x, n)
     assert -1.0 <= y <= 0.0
     assert abs(y * exp_iterated(y, n) - x) <= 1e-12 * max(1.0, abs(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 4), e=st.floats(-300.0, 300.0))
+@example(n=2, e=-15.0)  # an absolute tolerance gave a relative 3.9e-6 here
+@example(n=2, e=math.log10(2.5e24))  # Newton from above stalled from here
+@example(n=3, e=math.log10(4e40))
+@example(n=4, e=300.0)
+def test_lambert_n_relative_residual_over_the_float_range(n, e):
+    x = 10.0**e
+    y = lambert_n(x, n)
+    # ln(y * exp^(n)(y) / x), which cannot overflow
+    assert abs(math.log(y) + exp_iterated(y, n - 1) - math.log(x)) <= 1e-12

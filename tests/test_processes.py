@@ -299,3 +299,17 @@ def test_batch_orbit_rows_equal_scalar_orbits(spec, x0, n, seed):
 def test_map_orbit_rejects_kinds_without_a_map():
     with pytest.raises(ValidationError):
         map_orbit(ProcessSpec("fgn", length=1, hurst=0.5), 0.3, 5)
+
+
+def test_fgn_autocovariance_takes_the_generators_lag_array():
+    lags = np.arange(40)
+    for hurst in (0.2, 0.75):
+        row = fgn_autocovariance(hurst, lags)
+        scalars = [fgn_autocovariance(hurst, int(k)) for k in lags]
+        # numpy's vector and scalar pow may differ in the last bit, and the
+        # three powers cancel to a few digits at large lags
+        assert row == pytest.approx(scalars, rel=1e-12, abs=1e-13)
+    with pytest.raises(ValidationError, match="hurst"):
+        fgn_autocovariance(math.nan, 1)
+    with pytest.raises(ValidationError, match="lag"):
+        fgn_autocovariance(0.5, np.array([0, -1]))
