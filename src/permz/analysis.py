@@ -110,58 +110,42 @@ def fit_decay(missing, L: int, model: str = "exponential",
 
     if model == "exponential":
         x = t - L
-        c0 = math.log(math.factorial(L) - 1)
         if fix_intercept:
-            rate = float(np.sum(x * (c0 - y)) / np.sum(x * x))
-            fitted = c0 - rate * x
-            intercept = c0
-        else:
-            design = np.column_stack([np.ones_like(x), -x])
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-            intercept, rate = float(coef[0]), float(coef[1])
-            fitted = design @ coef
-        if rate <= 0.0:
-            raise DataError("no decay detected: fitted rate is not positive")
-        residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
-        return DecayFit(
-            R=rate,
-            C=math.exp(intercept + rate * L),
-            beta=1.0,
-            model=model,
-            fit_range=(float(t[0]), float(t[-1])),
-            residual=residual,
-            n_points=len(t),
-        )
-
-    grid = np.arange(0.05, 1.0001, 0.05)
-    scored = [(beta, *_stretched_residual(t, y, beta)) for beta in grid]
-    best = min(scored, key=lambda s: s[1])
-    lo = max(0.01, best[0] - 0.05)
-    hi = min(1.0, best[0] + 0.05)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c_pt = b - phi * (b - a)
-    d_pt = a + phi * (b - a)
-    fc = _stretched_residual(t, y, c_pt)[0]
-    fd = _stretched_residual(t, y, d_pt)[0]
-    for _ in range(60):
-        if fc <= fd:
-            b, d_pt, fd = d_pt, c_pt, fc
-            c_pt = b - phi * (b - a)
-            fc = _stretched_residual(t, y, c_pt)[0]
-        else:
-            a, c_pt, fc = c_pt, d_pt, fd
-            d_pt = a + phi * (b - a)
-            fd = _stretched_residual(t, y, d_pt)[0]
-        if b - a < 1e-6:
-            break
-    beta = 0.5 * (a + b)
-    residual, rate, intercept = _stretched_residual(t, y, beta)
+            intercept = math.log(math.factorial(L) - 1)
+            rate = float(np.sum(x * (intercept - y)) / np.sum(x * x))
+            residual = float(np.sqrt(np.mean((y - (intercept - rate * x)) ** 2)))
+        else:  # the stretched model's least squares at beta = 1
+            residual, rate, intercept = _stretched_residual(x, y, 1.0)
+        beta, ln_c = 1.0, intercept + rate * L  # ln M = ln C - R * T
+    else:
+        grid = np.arange(0.05, 1.0001, 0.05)
+        scored = [(beta, *_stretched_residual(t, y, beta)) for beta in grid]
+        best = min(scored, key=lambda s: s[1])
+        a = max(0.01, best[0] - 0.05)
+        b = min(1.0, best[0] + 0.05)
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        c_pt = b - phi * (b - a)
+        d_pt = a + phi * (b - a)
+        fc = _stretched_residual(t, y, c_pt)[0]
+        fd = _stretched_residual(t, y, d_pt)[0]
+        for _ in range(60):
+            if fc <= fd:
+                b, d_pt, fd = d_pt, c_pt, fc
+                c_pt = b - phi * (b - a)
+                fc = _stretched_residual(t, y, c_pt)[0]
+            else:
+                a, c_pt, fc = c_pt, d_pt, fd
+                d_pt = a + phi * (b - a)
+                fd = _stretched_residual(t, y, d_pt)[0]
+            if b - a < 1e-6:
+                break
+        beta = 0.5 * (a + b)
+        residual, rate, ln_c = _stretched_residual(t, y, beta)
     if rate <= 0.0:
         raise DataError("no decay detected: fitted rate is not positive")
     return DecayFit(
         R=rate,
-        C=math.exp(intercept),
+        C=math.exp(ln_c),
         beta=float(beta),
         model=model,
         fit_range=(float(t[0]), float(t[-1])),

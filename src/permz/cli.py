@@ -28,7 +28,9 @@ import numpy as np
 
 from . import __version__, ordinal
 from .analysis import fit_decay, stabilized_census, xp_distribution
-from .entropy import ComplexityClass, _check_alpha, entropy_report
+from .entropy import (
+    ComplexityClass, _check_alpha, renyi_entropy, z_entropy, z_topological,
+)
 from .errors import DataError, PermzError, ValidationError
 from .experiments import (
     EXPERIMENTS, ExperimentConfig, missing_curves, run_ensemble, run_experiment,
@@ -65,11 +67,15 @@ def read_series(path: str) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def _write_values(fh, series: np.ndarray) -> None:
+    for v in series:
+        fh.write(f"{v:.17g}\n")  # one value per line; 17 digits round-trip a double
+
+
 def write_series(path: str, series: np.ndarray) -> None:
     try:
         with open(path, "w") as fh:
-            for v in series:
-                fh.write(f"{v:.17g}\n")
+            _write_values(fh, series)
     except OSError as exc:
         raise DataError(f"cannot write series file {path}: {exc}") from exc
 
@@ -131,6 +137,14 @@ def _parse_orders(text: str, hi=ordinal._MAX_ORDER) -> tuple[int, ...]:
     return orders
 
 
+def _check_order_option(L: int) -> int:
+    try:
+        ordinal._check_order(L)
+    except ValidationError as exc:
+        raise ValidationError(f"bad --order {L} ({exc})") from None
+    return L
+
+
 def _parse_alphas(text: str) -> tuple[float, ...]:
     try:
         alphas = tuple(float(tok) for tok in text.split(","))
@@ -187,8 +201,7 @@ def _cmd_generate(args) -> int:
         write_series(args.output, series)
         _write_sidecar(args)
     else:
-        for v in series:
-            sys.stdout.write(f"{v:.17g}\n")
+        _write_values(sys.stdout, series)
     return 0
 
 
@@ -206,13 +219,13 @@ def _load_sources(args, default_length: int) -> tuple[str, list]:
 
 
 def _cmd_census(args) -> int:
+    L = _check_order_option(args.order)
     if args.input:
         if len(args.input) != 1:
             raise ValidationError("census takes exactly one --input file")
         series = read_series(args.input[0])
     else:
         series = generate(_spec_from_args(args))
-    L = args.order
     if args.trace:
         fact = math.factorial(L)
         header = ["T", "visible", "missing", "g"]
@@ -237,8 +250,9 @@ def _entropy_member(series, orders, alphas, cls, stabilized) -> dict:
     for L in orders:
         dist = stabilized_census(series, L) if stabilized else pattern_census(series, L)
         for alpha in alphas:
-            report = entropy_report(dist, cls, alpha)
-            out[(L, alpha)] = (report.renyi, report.z_value, report.z_rate_term)
+            z = (z_entropy(dist, cls, alpha) if alpha > 0
+                 else z_topological(dist.support_size, cls))
+            out[(L, alpha)] = (renyi_entropy(dist, alpha), z, z / L)
     return out
 
 
@@ -255,10 +269,8 @@ def _cmd_entropy(args) -> int:
         header = ["source", "class", "L", "alpha", "renyi", "z", "z_over_L"]
         label = label if args.input else f"{label}[0]"
         rows = [
-            [label, cls.token(), L, f"{alpha:g}",
-             f"{members[0][(L, alpha)][0]:.6f}",
-             f"{members[0][(L, alpha)][1]:.6f}",
-             f"{members[0][(L, alpha)][2]:.6f}"]
+            [label, cls.token(), L, f"{alpha:g}"]
+            + [f"{v:.6f}" for v in members[0][(L, alpha)]]
             for L in orders
             for alpha in alphas
         ]
@@ -280,7 +292,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_decay(args) -> int:
-    L = args.order
+    L = _check_order_option(args.order)
     label, sources = _load_sources(args, default_length=7_000)
     members = run_ensemble(partial(missing_curves, orders=(L,)), sources,
                            args.jobs, label)
@@ -305,14 +317,10 @@ def _cmd_experiment(args) -> int:
                                    ("--alpha", args.alpha, ("fig1", "fig4"))):
         if value is not None and args.name not in readers:
             raise ValidationError(f"experiment {args.name} does not take {option}")
-    config = ExperimentConfig(
-        realizations=args.realizations,
-        seed=args.seed,
-        t_max=args.t_max,
-        alphas=_parse_alphas("0.5,1,1.5" if args.alpha is None else args.alpha),
-        orders=_parse_orders("3:7" if args.orders is None else args.orders),
-        jobs=args.jobs,
-    )
+    given = {k: getattr(args, k) for k in ("realizations", "seed", "t_max", "jobs")}
+    given["alphas"] = None if args.alpha is None else _parse_alphas(args.alpha)
+    given["orders"] = None if args.orders is None else _parse_orders(args.orders)
+    config = ExperimentConfig(**{k: v for k, v in given.items() if v is not None})
     outdir = args.output_dir or f"permz-out/{args.name}"
     result = run_experiment(args.name, config, outdir)
     sys.stdout.write(f"experiment {args.name}: wrote {len(result.files)} files "
@@ -410,12 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a packaged experiment")
     p_exp.add_argument("name", choices=EXPERIMENTS)
-    p_exp.add_argument("--realizations", type=int, default=35)
-    p_exp.add_argument("--seed", type=int, default=2024)
-    p_exp.add_argument("--t-max", type=int, default=None)
+    p_exp.add_argument("--realizations", type=int)
+    p_exp.add_argument("--seed", type=int)
+    p_exp.add_argument("--t-max", type=int)
     p_exp.add_argument("--alpha")
     p_exp.add_argument("--orders")
-    p_exp.add_argument("--jobs", type=int, default=1)
+    p_exp.add_argument("--jobs", type=int)
     p_exp.add_argument("--output-dir", default=None)
     p_exp.set_defaults(func=_cmd_experiment)
 

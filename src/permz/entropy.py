@@ -33,7 +33,6 @@ from .ordinal import PatternDistribution
 
 __all__ = [
     "ComplexityClass",
-    "EntropyReport",
     "RateFit",
     "lambert_w",
     "lambert_n",
@@ -42,7 +41,6 @@ __all__ = [
     "renyi_entropy",
     "z_entropy",
     "z_topological",
-    "entropy_report",
     "entropy_rate_estimate",
 ]
 
@@ -354,36 +352,6 @@ def z_topological(allowed_count: int, complexity_class: ComplexityClass) -> floa
         raise ValidationError("allowed_count must be at least 1")
     ln_a = math.log(allowed_count)
     return complexity_class.inverse(ln_a) - complexity_class.inverse_zero
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """One (order, alpha) row of an entropy analysis."""
-
-    order: int
-    alpha: float
-    renyi: float
-    z_value: float
-    z_rate_term: float
-    complexity_class: ComplexityClass
-
-
-def entropy_report(
-    dist: PatternDistribution, complexity_class: ComplexityClass, alpha: float
-) -> EntropyReport:
-    """Bundle Renyi, Z and Z/L values for one distribution."""
-    if alpha == 0.0:
-        z = z_topological(dist.support_size, complexity_class)
-    else:
-        z = z_entropy(dist, complexity_class, alpha)
-    return EntropyReport(
-        order=dist.order,
-        alpha=float(alpha),
-        renyi=renyi_entropy(dist, alpha),
-        z_value=z,
-        z_rate_term=z / dist.order,
-        complexity_class=complexity_class,
-    )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Each experiment produces plot-ready CSV tables plus a JSON metadata
 sidecar recording the full configuration, the seed scheme and the
-runtime.  Ensemble members are seeded ``base + 1_000_003 * process_index
-+ realization_index``, so runs are reproducible and parallelizable.
+runtime.  Realization i of process j has the seed ``derive_seed(base,
+S * j + i)``, S = 1_000_003, so runs are reproducible and parallelizable.
 
 Every ensemble, here and in the ``entropy`` and ``decay`` commands, runs
 through one engine, :func:`run_ensemble`: each member generates its
@@ -16,20 +16,20 @@ order out of range, a NumericalError from a generator) propagates
 unchanged, and only foreign exceptions are wrapped as DataError naming
 the process.
 
-Experiments
------------
-fig1    ensemble <Z_fac,alpha / L> versus L for the seven factorial-
-        class processes, orders 3..7, alpha in {0.5, 1, 1.5}.
-fig2    ensemble <g(6, T)> versus T up to 7000 for the same processes.
-fig3    ensemble <g(6, T)> versus T up to 50 for the noisy-periodic
-        processes of periods 2..6, plus their visible-support counts.
-fig4    ensemble <Z_sub,alpha / L> versus L for the noisy-periodic
-        order subsequences (p, mu) in {2,3} x residues, 2 <= L <= 14.
-table1  missing-pattern decay exponents for the fig2 processes at
-        L = 4, 5, 6.
-table2  exact allowed-pattern counts of the noisy-periodic family for
-        periods 2..6 and widths up to 14, checked cell by cell against
-        the reference values embedded below.
+Experiments, with the series length T each uses when ``t_max`` is None
+-----------------------------------------------------------------------
+fig1    T=50000  ensemble <Z_fac,alpha / L> versus L for the seven factorial-
+                 class processes, orders 3..7, alpha in {0.5, 1, 1.5}.
+fig2    T=7000   ensemble <g(6, T)> versus T for the same processes.
+fig3    T=50     ensemble <g(6, T)> versus T for the noisy-periodic processes
+                 of periods 2..6, plus their visible-support counts.
+fig4    T=50000  ensemble <Z_sub,alpha / L> versus L for the noisy-periodic
+                 order subsequences (p, mu) in {2,3} x residues, 2 <= L <= 14.
+table1  T=7000   missing-pattern decay exponents for the fig2 processes at
+                 L = 4, 5, 6.
+table2  (none)   exact allowed-pattern counts of the noisy-periodic family
+                 for periods 2..6 and widths up to 14, checked cell by cell
+                 against the reference values embedded below.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from . import __version__, ordinal
 from .analysis import fit_decay, stabilized_census, xp_allowed_count, xp_class_constant
 from .entropy import ComplexityClass, _check_alpha, z_entropy
 from .errors import DataError, PermzError, ValidationError
-from .processes import ProcessSpec, _check_count, generate
+from .processes import ProcessSpec, _check_count, _check_seed, derive_seed, generate
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "ExperimentResult", "run_experiment",
            "run_ensemble", "pool_size", "missing_curves",
@@ -102,6 +102,9 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_count("realizations", self.realizations)
         _check_count("jobs", self.jobs)
+        _check_seed(self.seed)
+        if self.t_max is not None:
+            _check_count("t_max", self.t_max)
         for alpha in self.alphas:
             _check_alpha(alpha, positive=True)
 
@@ -116,9 +119,7 @@ class ExperimentResult:
 
 
 def member_seed(base: int, process_index: int, realization: int) -> int:
-    return (int(base) + _PROC_SEED_STRIDE * process_index + realization) & (
-        0xFFFFFFFFFFFFFFFF
-    )
+    return derive_seed(base, _PROC_SEED_STRIDE * process_index + realization)
 
 
 # -- the ensemble engine ----------------------------------------------------
@@ -194,14 +195,13 @@ def missing_curves(series, orders) -> dict[int, np.ndarray]:
 
 # -- fig1 / fig4 (Z-entropy rates) ------------------------------------------
 
-def _z_tables(stem: str, columns, orders, config: ExperimentConfig):
+def _z_tables(stem: str, columns, orders, config: ExperimentConfig, length: int):
     """Ensemble mean and spread of ``Z_alpha / L``, one table per alpha.
 
     ``columns`` holds ``(label, spec, class, orders)`` per process; table
     rows follow ``orders``, leaving a column empty at the orders it does
     not measure.
     """
-    length = config.t_max or 50_000
     curves: dict[tuple[str, int, float], tuple[float, float]] = {}
     for j, (label, spec, cls, col_orders) in enumerate(columns):
         measure = partial(_z_rates, orders=col_orders, alphas=config.alphas, cls=cls)
@@ -233,13 +233,13 @@ def _z_tables(stem: str, columns, orders, config: ExperimentConfig):
     return tables, summary
 
 
-def _experiment_fig1(config: ExperimentConfig):
+def _experiment_fig1(config: ExperimentConfig, length: int):
     fac = ComplexityClass.factorial()
     columns = [(name, spec, fac, config.orders) for name, spec in FACTORIAL_PROCESSES]
-    return _z_tables("fig1", columns, config.orders, config)
+    return _z_tables("fig1", columns, config.orders, config, length)
 
 
-def _experiment_fig4(config: ExperimentConfig):
+def _experiment_fig4(config: ExperimentConfig, length: int):
     columns = [
         (f"xp-{p}-{mu}", ProcessSpec("xp", length=1, period=p),
          ComplexityClass.sub_factorial(xp_class_constant(p, mu)),
@@ -247,15 +247,14 @@ def _experiment_fig4(config: ExperimentConfig):
         for p, mu in _FIG4_SUBSEQUENCES
     ]
     all_orders = sorted({L for *_, orders in columns for L in orders})
-    tables, summary = _z_tables("fig4", columns, all_orders, config)
+    tables, summary = _z_tables("fig4", columns, all_orders, config, length)
     summary["orders"] = {label: list(orders) for label, *_, orders in columns}
     return tables, summary
 
 
 # -- fig2 / fig3 (finite-length complexity function) ------------------------
 
-def _experiment_fig2(config: ExperimentConfig):
-    length = config.t_max or 7_000
+def _experiment_fig2(config: ExperimentConfig, length: int):
     L = 6
     curves = {
         name: np.mean(np.vstack(
@@ -278,8 +277,7 @@ def _experiment_fig2(config: ExperimentConfig):
     return {"fig2_g6": (header, rows)}, summary
 
 
-def _experiment_fig3(config: ExperimentConfig):
-    length = config.t_max or 50
+def _experiment_fig3(config: ExperimentConfig, length: int):
     L = 6
     if length < L:
         raise ValidationError("fig3 needs t_max >= 6")
@@ -317,8 +315,7 @@ def _experiment_fig3(config: ExperimentConfig):
 
 # -- table1 -----------------------------------------------------------------
 
-def _experiment_table1(config: ExperimentConfig):
-    length = config.t_max or 7_000
+def _experiment_table1(config: ExperimentConfig, length: int):
     orders = (4, 5, 6)
     fits: dict[tuple[str, int], object] = {}
     for j, (name, spec) in enumerate(FACTORIAL_PROCESSES):
@@ -345,7 +342,7 @@ def _experiment_table1(config: ExperimentConfig):
 
 # -- table2 -----------------------------------------------------------------
 
-def _experiment_table2(config: ExperimentConfig):
+def _experiment_table2(config: ExperimentConfig, length: int | None):
     header = ["period"] + [str(L) for L in range(2, 15)]
     rows = []
     mismatches = []
@@ -372,12 +369,12 @@ def _experiment_table2(config: ExperimentConfig):
 
 
 _RUNNERS = {
-    "fig1": _experiment_fig1,
-    "fig2": _experiment_fig2,
-    "fig3": _experiment_fig3,
-    "fig4": _experiment_fig4,
-    "table1": _experiment_table1,
-    "table2": _experiment_table2,
+    "fig1": (_experiment_fig1, 50_000),
+    "fig2": (_experiment_fig2, 7_000),
+    "fig3": (_experiment_fig3, 50),
+    "fig4": (_experiment_fig4, 50_000),
+    "table1": (_experiment_table1, 7_000),
+    "table2": (_experiment_table2, None),
 }
 
 
@@ -392,8 +389,9 @@ def run_experiment(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}"
         )
     config = config or ExperimentConfig()
+    runner, length = _RUNNERS[name]
     started = time.time()
-    tables, summary = _RUNNERS[name](config)
+    tables, summary = runner(config, length if config.t_max is None else config.t_max)
     metadata = {
         "experiment": name,
         "version": __version__,

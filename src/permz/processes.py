@@ -72,6 +72,11 @@ def _check_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be an integer at least 1")
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, Integral):  # of either sign: streams take it mod 2**64
+        raise ValidationError("seed must be an integer")
+
+
 def _check_period(p) -> None:
     if not isinstance(p, Integral) or p < 2:
         raise ValidationError("period must be an integer >= 2")
@@ -103,6 +108,7 @@ class ProcessSpec:
                 f"unknown process kind {self.kind!r}; choose from {', '.join(KINDS)}"
             )
         _check_count("length", self.length)
+        _check_seed(self.seed)
         allowed = {
             "white-noise": set(),
             "fgn": {"hurst"},

@@ -363,6 +363,10 @@ def test_experiment_fig1_takes_orders(tmp_path):
     (("entropy", "--alpha", "nan"), "alpha"),
     (("experiment", "fig1", "--orders", "3:21"), "--orders"),
     (("experiment", "fig1", "--alpha", "inf"), "alpha"),
+    (("experiment", "fig3", "--t-max", "0"), "t_max"),
+    (("experiment", "fig1", "--alpha", ""), "alpha"),
+    (("decay", "--order", "1"), "--order"),
+    (("census", "--order", "21"), "--order"),
 ])
 def test_bad_parameter_exits_2_before_any_series_is_generated(
         argv, named, monkeypatch, tmp_path, capsys):
@@ -370,8 +374,10 @@ def test_bad_parameter_exits_2_before_any_series_is_generated(
         raise AssertionError("a series was generated")
 
     monkeypatch.setattr("permz.experiments.generate", generate)
-    where = (("--process", "white-noise", "--length", "500") if argv[0] == "entropy"
-             else ("--output-dir", str(tmp_path)))
+    monkeypatch.setattr("permz.cli.generate", generate)
+    where = (("--output-dir", str(tmp_path)) if argv[0] == "experiment"
+             else ("--process", "white-noise", "--length", "500",
+                   "--output", str(tmp_path / "out.csv")))
     code, out = run_cli(*argv, *where)
     assert code == 2 and out == ""
     assert named in capsys.readouterr().err

@@ -9,7 +9,6 @@ from class_oracle import ComplexityClass as OracleClass
 from permz.entropy import (
     ComplexityClass,
     entropy_rate_estimate,
-    entropy_report,
     exp_iterated,
     lambert_w,
     renyi_entropy,
@@ -348,18 +347,6 @@ def test_extensivity_over_designed_growth():
             gaps.append(abs(z_topological(allowed, cls) / L - 1.0))
         assert gaps[-1] < 0.15
         assert gaps[-1] <= gaps[0]
-
-
-def test_entropy_report_fields():
-    x = generate(ProcessSpec("white-noise", length=20_000, seed=8))
-    dist = pattern_census(x, 4)
-    cls = ComplexityClass.factorial()
-    report = entropy_report(dist, cls, 1.0)
-    assert report.order == 4
-    assert report.z_rate_term == pytest.approx(report.z_value / 4)
-    assert report.renyi == pytest.approx(renyi_entropy(dist, 1.0))
-    top = entropy_report(dist, cls, 0.0)
-    assert top.z_value >= report.z_value
 
 
 # -- rate extrapolation -----------------------------------------------------

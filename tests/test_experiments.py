@@ -70,7 +70,9 @@ def test_experiment_order_error_keeps_its_class():
 @pytest.mark.parametrize("kwargs", [
     {"alphas": (math.nan,)}, {"alphas": (math.inf,)}, {"alphas": (0.0,)},
     {"realizations": 2.5}, {"jobs": 1.5},
-], ids=["alpha-nan", "alpha-inf", "alpha-0", "realizations-2.5", "jobs-1.5"])
+    {"t_max": 0}, {"t_max": -3}, {"t_max": 2.5}, {"seed": 2.5}, {"seed": math.nan},
+], ids=["alpha-nan", "alpha-inf", "alpha-0", "realizations-2.5", "jobs-1.5",
+        "t_max-0", "t_max--3", "t_max-2.5", "seed-2.5", "seed-nan"])
 def test_experiment_config_rejects_values_outside_their_domain(kwargs):
     with pytest.raises(ValidationError):
         ExperimentConfig(**kwargs)

@@ -8,7 +8,10 @@ not digested.
 
 The ``census --trace`` and ``decay`` commands are digested the same way:
 the sha256 of their standard output, captured before the prefix curve
-became the only input form of ``fit_decay``.
+became the only input form of ``fit_decay``.  The ``entropy``,
+``generate`` (to stdout), plain ``census`` and ``xp`` digests were
+captured before ``entropy_report`` was removed and the CLI stopped
+copying the experiment defaults.
 """
 
 import hashlib
@@ -121,6 +124,32 @@ CLI_GOLDEN = {
     ("decay", "--process", "noisy-logistic", "--length", "3000", "--order", "4",
      "--realizations", "3", "--seed", "13", "--free-intercept"):
         "b91cbbf8317868a6bb1d8d2f11276b5228977e51a8955243b6c584d6a82dbe70",
+    ("entropy", "--process", "white-noise", "--length", "3000", "--seed", "5",
+     "--orders", "3:5", "--alpha", "0.5,1,2", "--class", "fac"):
+        "3119fb5c04077d49ff86fcf743755c2cbc7d773497cb95d7d57735a284b91a76",
+    ("entropy", "--process", "fbm", "--hurst", "0.4", "--length", "2000",
+     "--seed", "3", "--realizations", "3", "--orders", "3,4", "--alpha", "0.5,1",
+     "--class", "sub:0.5"):
+        "94f0136eb3871fa8ad3d46e1e23b4019b3e02c8ed0c9ab27a32b4ba3d9dcb112",
+    ("entropy", "--process", "noisy-logistic", "--length", "5000", "--seed", "2",
+     "--orders", "3:5", "--stabilized", "--class", "exp:0.7"):
+        "bf98daba8a99623213b89fdbe66e4c0b4954fc54b2ece0c5f9d9f9cdb31e0cf3",
+    ("entropy", "--process", "logistic", "--length", "3000", "--orders", "3,4",
+     "--alpha", "0,1", "--class", "subn:2"):
+        "3a1d33a78df68edcbcfbc8d7d8510bf7159cfbe5675d111ddd96fe719be97e27",
+    ("entropy", "--process", "white-noise", "--length", "2000", "--seed", "1",
+     "--orders", "3", "--alpha", "0,2", "--format", "json"):
+        "b1c165c99b398f5f2c0336c78e90f1e298540811c1a25938b8cf437aac3d8ee1",
+    ("generate", "--process", "noisy-schuster", "--length", "200", "--seed", "4"):
+        "010f1020b90d485bf64071b1f0ac9f04e2e6add13e2dbbb81c1ec4367ff03aa5",
+    ("generate", "--process", "fgn", "--hurst", "0.3", "--length", "200",
+     "--seed", "6"):
+        "afb8f223a479a80a3f445604eb346df00eb5a60d1a56931800e7663b0d4e60f2",
+    ("census", "--process", "noisy-logistic", "--length", "3000", "--seed", "3",
+     "--order", "4"):
+        "b78612ee4578cb13716bcd0489855402c059e130693a22f260ff2982872c69cd",
+    ("xp", "--period", "3", "--orders", "3:9", "--alpha", "0.5,1,2"):
+        "9c7f46247a30a68423b775b1b1d518d4e31da8c5a8f682736f9aa83cbc60d8e7",
 }
 
 

@@ -78,6 +78,20 @@ def test_real_parameters_must_be_finite(kind, field, extra, value):
         ProcessSpec(kind, length=3, **extra, **{field: value})
 
 
+@pytest.mark.parametrize("seed", [2.5, math.nan, 3.0])
+def test_seed_must_be_an_integer(seed):
+    # int(2.5) would silently run seed 2, and nan failed only inside generate
+    with pytest.raises(ValidationError):
+        ProcessSpec("white-noise", length=5, seed=seed)
+
+
+def test_seeds_of_either_sign_are_taken_modulo_2_64():
+    def series(seed):
+        return generate(ProcessSpec("white-noise", length=5, seed=seed))
+
+    assert np.array_equal(series(-1), series(2**64 - 1))
+
+
 def test_known_entropies():
     assert ProcessSpec("logistic", length=5).known_entropies == (
         math.log(2), math.log(2)
