@@ -47,34 +47,51 @@ __all__ = ["main", "read_series", "write_series"]
 
 def read_series(path: str) -> np.ndarray:
     """One float per line; blank lines and ``#`` comments allowed."""
-    values = []
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: not a number: {text!r}"
-                    ) from None
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read series file {path}: {exc}") from exc
-    if not values:
+    lines = text.split("\n")  # what iterating the file yields, newlines aside
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    del text
+    try:
+        values = np.fromiter(map(float, filter(str.strip, lines)), np.float64)
+    except ValueError:
+        values = _parse_lines(path, lines)
+    if not values.size:
         raise DataError(f"series file {path} contains no samples")
+    return values
+
+
+def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
+    """The line-by-line parse behind :func:`read_series`'s error message.
+
+    ``float`` strips fewer characters than ``str.strip`` (not ``\\x1c``
+    to ``\\x1f``), so a line can fail the whole-text parse and still
+    hold a number; then the values are returned."""
+    values = []
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: not a number: {text!r}") from None
     return np.array(values, dtype=np.float64)
 
 
 def _write_values(fh, series: np.ndarray) -> None:
-    for v in series:
-        fh.write(f"{v:.17g}\n")  # one value per line; 17 digits round-trip a double
+    """One value per line in one write; 17 digits round-trip a double."""
+    values = series.tolist()
+    fh.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 def write_series(path: str, series: np.ndarray) -> None:
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             _write_values(fh, series)
     except OSError as exc:
         raise DataError(f"cannot write series file {path}: {exc}") from exc

@@ -38,7 +38,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -90,7 +89,8 @@ _PROC_SEED_STRIDE = 1_000_003
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs shared by all experiments; ``t_max=None`` picks each
-    experiment's default series length."""
+    experiment's default series length, and a given ``t_max`` below the
+    experiment's largest order is rejected before any series."""
 
     realizations: int = 35
     seed: int = 2024
@@ -152,6 +152,9 @@ def run_ensemble(measure, sources, jobs: int, label: str) -> list:
     try:
         if workers == 1:
             return [task(source) for source in sources]
+        # imported here: only a pool needs it, and it costs start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, sources, chunksize=1))
     except PermzError:
@@ -279,8 +282,6 @@ def _experiment_fig2(config: ExperimentConfig, length: int):
 
 def _experiment_fig3(config: ExperimentConfig, length: int):
     L = 6
-    if length < L:
-        raise ValidationError("fig3 needs t_max >= 6")
     periods = (2, 3, 4, 5, 6)
     process_list = [
         (f"xp-p{p}", ProcessSpec("xp", length=1, period=p)) for p in periods
@@ -368,13 +369,14 @@ def _experiment_table2(config: ExperimentConfig, length: int | None):
     return {"table2_allowed": (header, rows)}, summary
 
 
+# name: (runner, default series length, largest order; None: config.orders)
 _RUNNERS = {
-    "fig1": (_experiment_fig1, 50_000),
-    "fig2": (_experiment_fig2, 7_000),
-    "fig3": (_experiment_fig3, 50),
-    "fig4": (_experiment_fig4, 50_000),
-    "table1": (_experiment_table1, 7_000),
-    "table2": (_experiment_table2, None),
+    "fig1": (_experiment_fig1, 50_000, None),
+    "fig2": (_experiment_fig2, 7_000, 6),
+    "fig3": (_experiment_fig3, 50, 6),
+    "fig4": (_experiment_fig4, 50_000, 14),
+    "table1": (_experiment_table1, 7_000, 6),
+    "table2": (_experiment_table2, None, None),
 }
 
 
@@ -389,9 +391,17 @@ def run_experiment(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}"
         )
     config = config or ExperimentConfig()
-    runner, length = _RUNNERS[name]
+    runner, length, top = _RUNNERS[name]
+    if length is not None:  # table2 reads no series
+        length = length if config.t_max is None else config.t_max
+        if top is None:
+            for L in config.orders:
+                ordinal._check_order(L)
+            top = max(config.orders, default=0)
+        if length < top:
+            raise ValidationError(f"{name} needs t_max >= {top}")
     started = time.time()
-    tables, summary = runner(config, length if config.t_max is None else config.t_max)
+    tables, summary = runner(config, length)
     metadata = {
         "experiment": name,
         "version": __version__,

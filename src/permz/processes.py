@@ -174,6 +174,7 @@ class ProcessSpec:
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Per-realization seed for ensemble member ``index``."""
+    _check_seed(base_seed)
     return (int(base_seed) + int(index)) & 0xFFFFFFFFFFFFFFFF
 
 

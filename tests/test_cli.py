@@ -2,11 +2,19 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from contextlib import redirect_stdout
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import permz
 from permz.cli import main, read_series, write_series
 from permz.errors import DataError
 
@@ -45,6 +53,125 @@ def test_read_series_comments_and_errors(tmp_path):
         read_series(str(bad))
     with pytest.raises(DataError):
         read_series(str(tmp_path / "missing.txt"))
+
+
+def reference_read_series(path: str) -> np.ndarray:
+    """The line-by-line reader that ``read_series`` replaced, kept as its
+    oracle; the only change is the explicit UTF-8 encoding."""
+    values = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                text = line.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{lineno}: not a number: {text!r}"
+                    ) from None
+    except OSError as exc:
+        raise DataError(f"cannot read series file {path}: {exc}") from exc
+    if not values:
+        raise DataError(f"series file {path} contains no samples")
+    return np.array(values, dtype=np.float64)
+
+
+def reference_write_values(fh, series: np.ndarray) -> None:
+    """The per-value writer that ``write_series`` replaced, kept as its oracle."""
+    for v in series:
+        fh.write(f"{v:.17g}\n")
+
+
+def _outcome(read, path):
+    try:
+        return read(path).tobytes()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+_LINES = st.one_of(
+    st.floats().map("{:.17g}".format),
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from([
+        "", " ", "\t \x0b\x0c", "\u3000", "\x85", "\x1c", "1.5\x1c", "\x1f-2",
+        "# comment", "3.25 # trailing", "#", "1.0 2.0", "1,5", "abc", "0x10",
+        "1_000.5", "_1", "1__0", "nan", "-NaN", "inf", "-Infinity", "+iNF",
+        "infinit", "1e", "٣.٥", " 7 ", "\x00",
+    ]),
+    st.text(alphabet="0123456789.eE+-_# \t\x1cnaif", max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=12),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]), final=st.booleans())
+def test_read_series_matches_the_line_reader(lines, newline, final):
+    text = newline.join(lines) + (newline if final and lines else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.txt")
+        Path(path).write_bytes(text.encode("utf-8"))
+        assert _outcome(read_series, path) == _outcome(reference_read_series, path)
+
+
+_DOUBLES = st.lists(st.one_of(
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan, 0.1 + 0.2]),
+), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_DOUBLES)
+def test_series_bytes_match_the_per_value_writer(values):
+    x = np.array(values, dtype=np.float64)
+    expected = io.StringIO()
+    reference_write_values(expected, x)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.txt")
+        write_series(path, x)
+        assert Path(path).read_bytes() == expected.getvalue().encode("ascii")
+        back = read_series(path)
+    nan = np.isnan(x)
+    assert np.isnan(back[nan]).all()
+    assert back[~nan].tobytes() == x[~nan].tobytes()  # -0.0 and subnormals too
+
+    with patch("permz.cli.generate", lambda spec: x):  # stdout, same formatter
+        code, out = run_cli("generate", "--process", "white-noise",
+                            "--length", str(x.size))
+    assert code == 0 and out == expected.getvalue()
+
+
+def test_non_utf8_series_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1.0\n\xff\xfe2.0\n")
+    with pytest.raises(DataError, match="cannot read series file"):
+        read_series(str(path))
+    code, out = run_cli("census", "--input", str(path), "--order", "2")
+    assert code == 3 and out == ""
+    assert f"cannot read series file {path}" in capsys.readouterr().err
+
+
+def test_read_series_reports_the_bad_line(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("# header\n1.0\n\n1.0 2.0  # two values\n")
+    with pytest.raises(DataError) as exc:
+        read_series(str(path))
+    assert str(exc.value) == f"{path}:4: not a number: '1.0 2.0'"
+    path.write_text("1.0\x1c\n# only\n2\n")  # str.strip drops \x1c, float does not
+    assert read_series(str(path)).tolist() == [1.0, 2.0]
+
+
+def test_importing_the_cli_starts_no_pool_machinery():
+    src = os.path.dirname(os.path.dirname(permz.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, permz.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "False\n"
 
 
 # -- generate -----------------------------------------------------------------

@@ -78,6 +78,35 @@ def test_experiment_config_rejects_values_outside_their_domain(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name, t_max, top", [
+    ("fig1", 3, 7), ("fig1", 6, 7), ("fig2", 3, 6), ("fig3", 5, 6), ("fig4", 1, 14),
+    ("fig4", 13, 14), ("table1", 3, 6),
+])
+def test_t_max_below_the_largest_order_is_rejected_before_any_series(
+        name, t_max, top, monkeypatch):
+    calls = []
+    monkeypatch.setattr("permz.experiments.generate",
+                        lambda spec: calls.append(spec) or np.zeros(spec.length))
+    with pytest.raises(ValidationError, match=f"{name} needs t_max >= {top}"):
+        run_experiment(name, ExperimentConfig(realizations=2, t_max=t_max))
+    assert calls == []
+
+
+def test_fig1_orders_are_checked_before_any_series(monkeypatch):
+    calls = []
+    monkeypatch.setattr("permz.experiments.generate",
+                        lambda spec: calls.append(spec) or np.zeros(spec.length))
+    with pytest.raises(ValidationError, match="at least 2, at most 20"):
+        run_experiment("fig1", ExperimentConfig(orders=(3, 21), realizations=2,
+                                                t_max=100))
+    assert calls == []
+
+
+def test_table2_ignores_t_max():
+    result = run_experiment("table2", ExperimentConfig(t_max=1))
+    assert result.summary["all_match"]
+
+
 def test_fractional_jobs_raise_validation_error_before_any_member():
     with pytest.raises(ValidationError, match="at least 1"):
         pool_size(1.5, 2)

@@ -129,6 +129,18 @@ def test_bit_identical_reproducibility(spec):
         assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("base", [2.5, math.nan, "3", None])
+def test_derive_seed_rejects_a_non_integer_base(base):
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        derive_seed(base, 1)
+
+
+def test_derive_seed_takes_numpy_integers_modulo_2_64():
+    assert derive_seed(np.int64(2), 1) == 3
+    assert derive_seed(np.uint64(2**64 - 1), 1) == 0
+    assert derive_seed(-1, 0) == 2**64 - 1
+
+
 # -- individual generators ---------------------------------------------------
 
 def test_logistic_iterates():
