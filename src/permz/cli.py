@@ -15,28 +15,23 @@ its recorded configuration and seed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
-from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__, ordinal
-from .analysis import fit_decay, stabilized_census, xp_distribution
-from .entropy import (
-    ComplexityClass, _check_alpha, renyi_entropy, z_entropy, z_topological,
-)
+from .analysis import fit_decay, xp_distribution
+from .entropy import ComplexityClass, _check_alpha
 from .errors import DataError, PermzError, ValidationError
 from .experiments import (
-    EXPERIMENTS, ExperimentConfig, missing_curves, run_ensemble, run_experiment,
+    EXPERIMENTS, ExperimentConfig, entropy_cells, missing_curves, read_text,
+    realization_specs, render_table, run_ensemble, run_experiment, write_text,
 )
 from .ordinal import lehmer_decode, pattern_census, visible_curve
-from .processes import KINDS, ProcessSpec, _check_count, derive_seed, generate
+from .processes import KINDS, ProcessSpec, generate
 
 __all__ = ["main", "read_series", "write_series"]
 
@@ -47,11 +42,7 @@ __all__ = ["main", "read_series", "write_series"]
 
 def read_series(path: str) -> np.ndarray:
     """One float per line; blank lines and ``#`` comments allowed."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read series file {path}: {exc}") from exc
+    text = read_text(path, "series file")
     lines = text.split("\n")  # what iterating the file yields, newlines aside
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
@@ -83,49 +74,30 @@ def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def _write_values(fh, series: np.ndarray) -> None:
-    """One value per line in one write; 17 digits round-trip a double."""
+def _series_text(series: np.ndarray) -> str:
+    """One value per line; 17 digits round-trip a double."""
     values = series.tolist()
-    fh.write(("%.17g\n" * len(values)) % tuple(values))
+    return ("%.17g\n" * len(values)) % tuple(values)
 
 
 def write_series(path: str, series: np.ndarray) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_values(fh, series)
-    except OSError as exc:
-        raise DataError(f"cannot write series file {path}: {exc}") from exc
+    write_text(path, _series_text(series), "series file")
 
 
 def _write_sidecar(args) -> None:
     """Record the invocation beside ``args.output`` as ``<output>.json``."""
     options = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     config = {"command": args.command, "version": __version__, "options": options}
-    sidecar = Path(str(args.output) + ".json")
-    try:
-        sidecar.write_text(json.dumps(config, indent=2, sort_keys=True, default=str)
-                           + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write sidecar {sidecar}: {exc}") from exc
+    write_text(f"{args.output}.json",
+               json.dumps(config, indent=2, sort_keys=True, default=str) + "\n",
+               "sidecar")
 
 
 def _emit(header: list[str], rows: list[list], args) -> None:
     """Write the table to ``args.output``, with a sidecar, or to stdout."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(
-            [dict(zip(header, row)) for row in rows], indent=2, default=str
-        ) + "\n"
+    text = render_table(header, rows, args.format)
     if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            raise DataError(f"cannot write output {args.output}: {exc}") from exc
+        write_text(args.output, text)
         _write_sidecar(args)
     else:
         sys.stdout.write(text)
@@ -170,6 +142,11 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
     return tuple(_check_alpha(a) for a in alphas)
 
 
+# the generator parameters a spec takes from options of the same name
+_PROCESS_PARAMS = (("hurst", float), ("amplitude", float), ("x0", float),
+                   ("period", int), ("delta", float), ("sigma", float))
+
+
 def _add_process_args(parser: argparse.ArgumentParser, require: bool = False):
     parser.add_argument("--process", choices=KINDS, required=require,
                         help="generator kind")
@@ -177,12 +154,8 @@ def _add_process_args(parser: argparse.ArgumentParser, require: bool = False):
                         help="series length T (entropy defaults to 50000, "
                         "decay to 7000 when generating)")
     parser.add_argument("--seed", type=int, default=0, help="stream seed")
-    parser.add_argument("--hurst", type=float, default=None)
-    parser.add_argument("--amplitude", type=float, default=None)
-    parser.add_argument("--x0", type=float, default=None)
-    parser.add_argument("--period", type=int, default=None)
-    parser.add_argument("--delta", type=float, default=None)
-    parser.add_argument("--sigma", type=float, default=None)
+    for name, kind in _PROCESS_PARAMS:
+        parser.add_argument(f"--{name}", type=kind, default=None)
     parser.add_argument("--no-dither", action="store_true",
                         help="disable the anti-cycling dither of map orbits")
 
@@ -193,18 +166,9 @@ def _spec_from_args(args, default_length: int | None = None) -> ProcessSpec:
     length = args.length if args.length is not None else default_length
     if length is None:
         raise ValidationError("--length is required with --process")
-    return ProcessSpec(
-        kind=args.process,
-        length=length,
-        seed=args.seed,
-        hurst=args.hurst,
-        amplitude=args.amplitude,
-        x0=args.x0,
-        period=args.period,
-        delta=args.delta,
-        sigma=args.sigma,
-        dither=not args.no_dither,
-    )
+    params = {name: getattr(args, name) for name, _ in _PROCESS_PARAMS}
+    return ProcessSpec(kind=args.process, length=length, seed=args.seed,
+                       dither=not args.no_dither, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -212,37 +176,38 @@ def _spec_from_args(args, default_length: int | None = None) -> ProcessSpec:
 # ---------------------------------------------------------------------------
 
 def _cmd_generate(args) -> int:
-    spec = _spec_from_args(args)
-    series = generate(spec)
+    series = generate(_spec_from_args(args))
     if args.output:
         write_series(args.output, series)
         _write_sidecar(args)
     else:
-        _write_values(sys.stdout, series)
+        sys.stdout.write(_series_text(series))
     return 0
 
 
-def _load_sources(args, default_length: int) -> tuple[str, list]:
-    """A label and the ensemble sources: the series of the input files,
-    or seeded realizations of a process spec, generated by the engine."""
+def _load_sources(args, default_length: int | None = None,
+                  count: int = 1) -> tuple[str, list]:
+    """A label and the ensemble sources: the series of the ``--input``
+    files, which exclude every option of a generated series but
+    ``--seed``, or ``count`` seeded realizations of a process spec."""
     if args.input:
+        names = ("process", "length") + tuple(name for name, _ in _PROCESS_PARAMS)
+        given = [f"--{name}" for name in names if getattr(args, name) is not None]
+        if args.no_dither:
+            given.append("--no-dither")
+        if given:
+            raise ValidationError(f"--input excludes {', '.join(given)}")
         return args.input[0], [read_series(path) for path in args.input]
     spec = _spec_from_args(args, default_length)
-    _check_count("realizations", args.realizations)
-    return args.process, [
-        replace(spec, seed=derive_seed(args.seed, i))
-        for i in range(args.realizations)
-    ]
+    return args.process, realization_specs(spec, count)
 
 
 def _cmd_census(args) -> int:
     L = _check_order_option(args.order)
-    if args.input:
-        if len(args.input) != 1:
-            raise ValidationError("census takes exactly one --input file")
-        series = read_series(args.input[0])
-    else:
-        series = generate(_spec_from_args(args))
+    if args.input and len(args.input) != 1:
+        raise ValidationError("census takes exactly one --input file")
+    _, (source,) = _load_sources(args)
+    series = generate(source) if isinstance(source, ProcessSpec) else source
     if args.trace:
         fact = math.factorial(L)
         header = ["T", "visible", "missing", "g"]
@@ -262,23 +227,12 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _entropy_member(series, orders, alphas, cls, stabilized) -> dict:
-    out = {}
-    for L in orders:
-        dist = stabilized_census(series, L) if stabilized else pattern_census(series, L)
-        for alpha in alphas:
-            z = (z_entropy(dist, cls, alpha) if alpha > 0
-                 else z_topological(dist.support_size, cls))
-            out[(L, alpha)] = (renyi_entropy(dist, alpha), z, z / L)
-    return out
-
-
 def _cmd_entropy(args) -> int:
     cls = ComplexityClass.parse(getattr(args, "class"))
     orders = _parse_orders(args.orders)
     alphas = _parse_alphas(args.alpha)
-    label, sources = _load_sources(args, default_length=50_000)
-    measure = partial(_entropy_member, orders=orders, alphas=alphas, cls=cls,
+    label, sources = _load_sources(args, 50_000, args.realizations)
+    measure = partial(entropy_cells, orders=orders, alphas=alphas, cls=cls,
                       stabilized=args.stabilized)
     members = run_ensemble(measure, sources, args.jobs, label)
 
@@ -297,6 +251,7 @@ def _cmd_entropy(args) -> int:
         rows = []
         for L in orders:
             for alpha in alphas:
+                # axis 0 of (n, 3), not fig1's 1-d form: they differ in the last bits
                 data = np.array([m[(L, alpha)] for m in members])
                 rows.append(
                     [cls.token(), L, f"{alpha:g}", len(members)]
@@ -310,7 +265,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_decay(args) -> int:
     L = _check_order_option(args.order)
-    label, sources = _load_sources(args, default_length=7_000)
+    label, sources = _load_sources(args, 7_000, args.realizations)
     members = run_ensemble(partial(missing_curves, orders=(L,)), sources,
                            args.jobs, label)
     curves = [m[L] for m in members]
@@ -378,6 +333,20 @@ def _cmd_xp(args) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
+def _table_command(sub, name: str, help: str, func, series: bool = True):
+    """A subcommand that prints or writes one table; a series command also
+    takes the process options or, in their place, ``--input`` files."""
+    parser = sub.add_parser(name, help=help)
+    if series:
+        _add_process_args(parser)
+        parser.add_argument("--input", nargs="*", default=None,
+                            help="series files in place of --process")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--output", default=None)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permz",
@@ -391,20 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--output", default=None, help="series file path")
     p_gen.set_defaults(func=_cmd_generate)
 
-    p_cen = sub.add_parser("census", help="pattern distribution of a series")
-    _add_process_args(p_cen)
-    p_cen.add_argument("--input", nargs="*", default=None, help="series file")
+    p_cen = _table_command(sub, "census", "pattern distribution of a series",
+                           _cmd_census)
     p_cen.add_argument("--order", type=int, required=True, help="pattern length L")
     p_cen.add_argument("--trace", action="store_true",
                        help="emit the visible/missing trace instead")
-    p_cen.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_cen.add_argument("--output", default=None)
-    p_cen.set_defaults(func=_cmd_census)
 
-    p_ent = sub.add_parser("entropy", help="Renyi and Z-entropy reports")
-    _add_process_args(p_ent)
-    p_ent.add_argument("--input", nargs="*", default=None,
-                       help="series files (each one ensemble member)")
+    p_ent = _table_command(sub, "entropy", "Renyi and Z-entropy reports", _cmd_entropy)
     p_ent.add_argument("--orders", default="3:7",
                        help="orders, e.g. '6', '3,5,7' or '3:7'")
     p_ent.add_argument("--alpha", default="0.5,1,1.5", help="comma list")
@@ -414,14 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--jobs", type=int, default=1)
     p_ent.add_argument("--stabilized", action="store_true",
                        help="stop each census once the distribution stabilizes")
-    p_ent.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ent.add_argument("--output", default=None)
-    p_ent.set_defaults(func=_cmd_entropy)
 
-    p_dec = sub.add_parser("decay", help="fit the missing-pattern decay")
-    _add_process_args(p_dec)
-    p_dec.add_argument("--input", nargs="*", default=None,
-                       help="series files (each one ensemble member)")
+    p_dec = _table_command(sub, "decay", "fit the missing-pattern decay", _cmd_decay)
     p_dec.add_argument("--order", type=int, required=True)
     p_dec.add_argument("--model", choices=("exponential", "stretched"),
                        default="exponential")
@@ -429,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="do not pin the intercept to ln(L!-1)")
     p_dec.add_argument("--realizations", type=int, default=35)
     p_dec.add_argument("--jobs", type=int, default=1)
-    p_dec.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_dec.add_argument("--output", default=None)
-    p_dec.set_defaults(func=_cmd_decay)
 
     p_exp = sub.add_parser("experiment", help="run a packaged experiment")
     p_exp.add_argument("name", choices=EXPERIMENTS)
@@ -444,14 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--output-dir", default=None)
     p_exp.set_defaults(func=_cmd_experiment)
 
-    p_xp = sub.add_parser("xp", help="exact noisy-periodic analytics")
+    p_xp = _table_command(sub, "xp", "exact noisy-periodic analytics", _cmd_xp,
+                          series=False)
     p_xp.add_argument("--period", type=int, required=True)
     p_xp.add_argument("--orders", required=True,
                       help="orders, e.g. '6', '2:14'")
     p_xp.add_argument("--alpha", default="0.5,1,1.5")
-    p_xp.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_xp.add_argument("--output", default=None)
-    p_xp.set_defaults(func=_cmd_xp)
 
     return parser
 

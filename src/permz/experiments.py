@@ -16,6 +16,9 @@ order out of range, a NumericalError from a generator) propagates
 unchanged, and only foreign exceptions are wrapped as DataError naming
 the process.
 
+Those commands also share this module's realization seeds, entropy
+cells, table text and text-file reads and writes.
+
 Experiments, with the series length T each uses when ``t_max`` is None
 -----------------------------------------------------------------------
 fig1    T=50000  ensemble <Z_fac,alpha / L> versus L for the seven factorial-
@@ -34,6 +37,8 @@ table2  (none)   exact allowed-pattern counts of the noisy-periodic family
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -48,12 +53,15 @@ import numpy as np
 # wrapper installed on permz.ordinal (as tracing does) sees these calls
 from . import __version__, ordinal
 from .analysis import fit_decay, stabilized_census, xp_allowed_count, xp_class_constant
-from .entropy import ComplexityClass, _check_alpha, z_entropy
+from .entropy import (
+    ComplexityClass, _check_alpha, renyi_entropy, z_entropy, z_topological,
+)
 from .errors import DataError, PermzError, ValidationError
 from .processes import ProcessSpec, _check_count, _check_seed, derive_seed, generate
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "ExperimentResult", "run_experiment",
-           "run_ensemble", "pool_size", "missing_curves",
+           "run_ensemble", "pool_size", "realization_specs", "entropy_cells",
+           "missing_curves", "render_table", "read_text", "write_text",
            "FACTORIAL_PROCESSES", "TABLE2_REFERENCE"]
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "table1", "table2")
@@ -105,6 +113,9 @@ class ExperimentConfig:
         _check_seed(self.seed)
         if self.t_max is not None:
             _check_count("t_max", self.t_max)
+        for name in ("orders", "alphas"):
+            if not getattr(self, name):
+                raise ValidationError(f"{name} must not be empty")
         for alpha in self.alphas:
             _check_alpha(alpha, positive=True)
 
@@ -120,6 +131,47 @@ class ExperimentResult:
 
 def member_seed(base: int, process_index: int, realization: int) -> int:
     return derive_seed(base, _PROC_SEED_STRIDE * process_index + realization)
+
+
+def realization_specs(spec: ProcessSpec, count: int,
+                      process_index: int = 0) -> list[ProcessSpec]:
+    """``count`` realizations of ``spec``, realization i seeded
+    ``member_seed(spec.seed, process_index, i)`` (``derive_seed`` at index 0)."""
+    _check_count("realizations", count)
+    return [replace(spec, seed=member_seed(spec.seed, process_index, i))
+            for i in range(count)]
+
+
+# -- tables and files -------------------------------------------------------
+
+def render_table(header: list[str], rows: list[list], fmt: str = "csv") -> str:
+    """The table as CSV text or as a JSON list of one object per row."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows],
+                          indent=2, default=str) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of ``path``; an OSError or a byte that is not UTF-8
+    becomes a DataError "cannot read <what> <path>"."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_text(path, text: str, what: str = "output") -> None:
+    """Write ``text`` to ``path`` as UTF-8 with newlines untranslated; an
+    OSError becomes a DataError "cannot write <what> <path>"."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc
 
 
 # -- the ensemble engine ----------------------------------------------------
@@ -166,20 +218,26 @@ def run_ensemble(measure, sources, jobs: int, label: str) -> list:
 def _ensemble(config: ExperimentConfig, j: int, name: str, spec: ProcessSpec,
               length: int, measure) -> list:
     """``measure`` over the realizations of process ``j`` of an experiment."""
-    specs = [replace(spec, length=length, seed=member_seed(config.seed, j, i))
-             for i in range(config.realizations)]
+    specs = realization_specs(replace(spec, length=length, seed=config.seed),
+                              config.realizations, j)
     return run_ensemble(measure, specs, config.jobs, name)
 
 
 # -- measures ---------------------------------------------------------------
 
-def _z_rates(series, orders, alphas, cls: ComplexityClass) -> dict:
-    """``Z_alpha / L`` of one series under ``cls``, keyed ``(L, alpha)``."""
+def entropy_cells(series, orders, alphas, cls: ComplexityClass,
+                  stabilized: bool = True) -> dict:
+    """``(R_alpha, Z_alpha, Z_alpha / L)`` of one series under ``cls`` per
+    ``(L, alpha)``, from the stabilized census or else every window's;
+    alpha 0 gives the topological Z-entropy of the support."""
     out = {}
     for L in orders:
-        dist = stabilized_census(series, L)
+        dist = (stabilized_census(series, L) if stabilized
+                else ordinal.pattern_census(series, L))
         for alpha in alphas:
-            out[(L, alpha)] = z_entropy(dist, cls, alpha) / L
+            z = (z_entropy(dist, cls, alpha) if alpha > 0
+                 else z_topological(dist.support_size, cls))
+            out[(L, alpha)] = (renyi_entropy(dist, alpha), z, z / L)
     return out
 
 
@@ -207,11 +265,13 @@ def _z_tables(stem: str, columns, orders, config: ExperimentConfig, length: int)
     """
     curves: dict[tuple[str, int, float], tuple[float, float]] = {}
     for j, (label, spec, cls, col_orders) in enumerate(columns):
-        measure = partial(_z_rates, orders=col_orders, alphas=config.alphas, cls=cls)
+        measure = partial(entropy_cells, orders=col_orders, alphas=config.alphas,
+                          cls=cls)
         members = _ensemble(config, j, label, spec, length, measure)
         for L in col_orders:
             for alpha in config.alphas:
-                vals = np.array([m[(L, alpha)] for m in members])
+                # 1-d, not `permz entropy`'s axis-0 form: they differ in the last bits
+                vals = np.array([m[(L, alpha)][2] for m in members])
                 curves[(label, L, alpha)] = (float(vals.mean()), float(vals.std()))
 
     tables = {}
@@ -397,9 +457,15 @@ def run_experiment(
         if top is None:
             for L in config.orders:
                 ordinal._check_order(L)
-            top = max(config.orders, default=0)
+            top = max(config.orders)
         if length < top:
             raise ValidationError(f"{name} needs t_max >= {top}")
+    if output_dir is not None:  # before the run, so a bad directory costs nothing
+        outdir = Path(output_dir)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot create output directory {outdir}: {exc}") from exc
     started = time.time()
     tables, summary = runner(config, length)
     metadata = {
@@ -415,19 +481,9 @@ def run_experiment(
         name=name, tables=tables, summary=summary, metadata=metadata
     )
     if output_dir is not None:
-        outdir = Path(output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        import csv
-
-        for stem, (header, rows) in tables.items():
-            path = outdir / f"{stem}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-            result.files.append(str(path))
-        meta_path = outdir / f"{name}_metadata.json"
-        with open(meta_path, "w") as fh:
-            json.dump(metadata, fh, indent=2, default=str)
-        result.files.append(str(meta_path))
+        texts = {f"{stem}.csv": render_table(*table) for stem, table in tables.items()}
+        texts[f"{name}_metadata.json"] = json.dumps(metadata, indent=2, default=str)
+        for filename, text in texts.items():
+            write_text(outdir / filename, text)
+            result.files.append(str(outdir / filename))
     return result

@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import permz
 
 
@@ -19,3 +24,16 @@ def test_public_api_is_pinned():
     ]
     for name in permz.__all__:
         assert hasattr(permz, name), name
+
+
+def test_every_traced_binding_resolves_to_a_callable(monkeypatch):
+    """The benchmark's tracer wraps functions where the program binds them;
+    a binding that moved or is no longer imported would fail only there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    for module_name, attr, *_ in spans.WRAP_POINTS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

@@ -516,3 +516,54 @@ def test_xp_orders_are_not_bounded_by_the_code_width():
     assert code == 0
     _, rows = read_csv_text(out)
     assert [int(row[1]) for row in rows] == [20, 21, 22]
+
+
+def _unwritable(tmp_path, kind):
+    """A target whose write fails, and the path its error message names."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if kind == "under-a-file":
+        return blocker / "x", blocker / "x"
+    if kind == "a-file":
+        return blocker, blocker
+    (tmp_path / "out.csv.json").mkdir()  # the table writes, its sidecar cannot
+    return tmp_path / "out.csv", tmp_path / "out.csv.json"
+
+
+_CENSUS = ("census", "--process", "white-noise", "--length", "50", "--order", "3",
+           "--output")
+
+
+@pytest.mark.parametrize("argv, kind, message", [
+    (("generate", "--process", "white-noise", "--length", "50", "--output"),
+     "under-a-file", "cannot write series file"),
+    (_CENSUS, "under-a-file", "cannot write output"),
+    (_CENSUS, "sidecar", "cannot write sidecar"),
+    (("experiment", "fig1", "--realizations", "2", "--t-max", "300",
+      "--output-dir"), "under-a-file", "cannot create output directory"),
+    (("experiment", "table2", "--output-dir"), "a-file",
+     "cannot create output directory"),
+], ids=["generate", "table", "sidecar", "experiment-fig1", "experiment-table2"])
+def test_unwritable_output_exits_3(argv, kind, message, monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr("permz.experiments.generate",
+                        lambda spec: calls.append(spec) or np.zeros(spec.length))
+    target, named = _unwritable(tmp_path, kind)
+    code, out = run_cli(*argv, str(target))
+    assert code == 3 and out == ""
+    assert f"{message} {named}" in capsys.readouterr().err
+    assert calls == []  # the experiment failed before its first series
+
+
+@pytest.mark.parametrize("command", [("census", "--order", "3"),
+                                     ("entropy", "--orders", "3"),
+                                     ("decay", "--order", "3")])
+@pytest.mark.parametrize("option", [("--process", "fbm"), ("--length", "500"),
+                                    ("--hurst", "0.3"), ("--sigma", "2"),
+                                    ("--no-dither",)])
+def test_input_with_a_process_option_exits_2_before_reading(command, option,
+                                                            tmp_path, capsys):
+    missing = tmp_path / "absent.txt"  # reading it would exit 3
+    code, out = run_cli(*command, "--input", str(missing), *option)
+    assert code == 2 and out == ""
+    assert f"--input excludes {option[0]}" in capsys.readouterr().err
