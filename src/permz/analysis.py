@@ -18,13 +18,14 @@ from itertools import chain, permutations, product
 
 import numpy as np
 
-from .entropy import _check_alpha, _is_shannon
+from .entropy import _check_alpha, _fit_points, _is_shannon
 from .errors import DataError, ValidationError
 from .ordinal import (
     OrdinalPattern, PatternDistribution, _census, _check_order, window_codes,
 )
 from .processes import (
-    ProcessSpec, _check_period, derive_seed, dither_kicks, generate, map_orbit,
+    ProcessSpec, _check_count, _check_period, _check_residues, dither_kicks,
+    generate, map_orbit, member_seed, realization_specs,
 )
 from .rng import Stream
 
@@ -184,8 +185,7 @@ def xp_class_constant(p: int, mu: int) -> float:
     """Growth constant ``c`` of ``g(L) = c L ln L`` along the order
     subsequence ``L = nu*p + mu``."""
     _check_period(p)
-    if not 0 <= mu < p:
-        raise ValidationError("residue mu must lie in 0..p-1")
+    _check_residues((mu,), p)
     if mu in (0, p - 1):
         return (p - 1) / p
     return mu / p
@@ -262,9 +262,8 @@ def xp_pattern_probabilities(
     """
     _check_period(p)
     _check_order(L, hi=math.inf)
-    residues = (p - 1,) if noiseless_residues is None else tuple(noiseless_residues)
-    if any(not 0 <= r < p for r in residues):
-        raise ValidationError("noiseless residues must lie in 0..p-1")
+    residues = ((p - 1,) if noiseless_residues is None
+                else _check_residues(noiseless_residues, p))
     out: dict[tuple[int, ...], Fraction] = {}
     for start in range(p):
         groups = [
@@ -301,9 +300,7 @@ def estimate_class_constant(counts, family: str) -> ClassConstantFit:
     observed allowed-pattern counts ``(L, A_L)``."""
     if family not in ("exponential", "sub_linear_log"):
         raise ValidationError("family must be 'exponential' or 'sub_linear_log'")
-    pts = [(int(L), a) for L, a in counts]
-    if len({L for L, _ in pts}) < 3:
-        raise DataError("need at least 3 distinct orders")
+    pts = _fit_points(counts, "allowed counts")
     if any(a < 1 for _, a in pts):
         raise ValidationError("allowed counts must be at least 1")
     x = np.array(
@@ -322,16 +319,15 @@ def estimate_class_constant(counts, family: str) -> ClassConstantFit:
 # ---------------------------------------------------------------------------
 
 def _orbit_batch(spec: ProcessSpec, n_orbits: int, orbit_len: int) -> np.ndarray:
-    """Orbits from random initial conditions, one row per orbit."""
+    """Orbits from random initial conditions, one row per orbit: shift orbit
+    i is realization i of ``spec``; a map's initial conditions are drawn by
+    realization 0's stream and orbit i is kicked by realization i + 1's."""
     if spec.kind == "shift":
-        rows = [
-            generate(replace(spec, length=orbit_len, seed=derive_seed(spec.seed, i)))
-            for i in range(n_orbits)
-        ]
-        return np.vstack(rows)
-    x0 = 1e-6 + (1.0 - 2e-6) * Stream(spec.seed).uniforms(n_orbits)
-    kicks = [dither_kicks(spec, derive_seed(spec.seed, i + 1), orbit_len)
-             for i in range(n_orbits)]  # one kick stream per orbit
+        members = realization_specs(replace(spec, length=orbit_len), n_orbits)
+        return np.vstack([generate(member) for member in members])
+    x0 = 1e-6 + (1.0 - 2e-6) * Stream(member_seed(spec.seed, 0, 0)).uniforms(n_orbits)
+    kicks = [dither_kicks(spec, member_seed(spec.seed, 0, i + 1), orbit_len)
+             for i in range(n_orbits)]
     return map_orbit(spec, x0, orbit_len,
                      None if kicks[0] is None else np.vstack(kicks))
 
@@ -352,8 +348,10 @@ def forbidden_patterns_of_map(
             "(logistic, piecewise-linear or shift)"
         )
     _check_order(L, hi=7)  # the result enumerates the missing patterns
-    if n_orbits < 1 or orbit_len < L:
-        raise ValidationError("need at least one orbit of length >= L")
+    _check_count("n_orbits", n_orbits)
+    _check_count("orbit_len", orbit_len)
+    if orbit_len < L:
+        raise ValidationError("orbit_len must be at least L")
     orbits = _orbit_batch(spec, n_orbits, orbit_len)
     seen = np.zeros(math.factorial(L), dtype=bool)
     for row in orbits:

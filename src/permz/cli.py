@@ -28,10 +28,10 @@ from .entropy import ComplexityClass, _check_alpha
 from .errors import DataError, PermzError, ValidationError
 from .experiments import (
     EXPERIMENTS, ExperimentConfig, entropy_cells, missing_curves, read_text,
-    realization_specs, render_table, run_ensemble, run_experiment, write_text,
+    render_table, run_ensemble, run_experiment, write_text,
 )
 from .ordinal import lehmer_decode, pattern_census, visible_curve
-from .processes import KINDS, ProcessSpec, generate
+from .processes import KINDS, ProcessSpec, generate, realization_specs
 
 __all__ = ["main", "read_series", "write_series"]
 
@@ -153,7 +153,7 @@ def _add_process_args(parser: argparse.ArgumentParser, require: bool = False):
     parser.add_argument("--length", type=int, default=None,
                         help="series length T (entropy defaults to 50000, "
                         "decay to 7000 when generating)")
-    parser.add_argument("--seed", type=int, default=0, help="stream seed")
+    parser.add_argument("--seed", type=int, help="stream seed")
     for name, kind in _PROCESS_PARAMS:
         parser.add_argument(f"--{name}", type=kind, default=None)
     parser.add_argument("--no-dither", action="store_true",
@@ -166,6 +166,7 @@ def _spec_from_args(args, default_length: int | None = None) -> ProcessSpec:
     length = args.length if args.length is not None else default_length
     if length is None:
         raise ValidationError("--length is required with --process")
+    args.seed = 0 if args.seed is None else args.seed  # the sidecar records it
     params = {name: getattr(args, name) for name, _ in _PROCESS_PARAMS}
     return ProcessSpec(kind=args.process, length=length, seed=args.seed,
                        dither=not args.no_dither, **params)
@@ -186,18 +187,24 @@ def _cmd_generate(args) -> int:
 
 
 def _load_sources(args, default_length: int | None = None,
-                  count: int = 1) -> tuple[str, list]:
+                  default_count: int = 1) -> tuple[str, list]:
     """A label and the ensemble sources: the series of the ``--input``
-    files, which exclude every option of a generated series but
-    ``--seed``, or ``count`` seeded realizations of a process spec."""
+    files, which exclude every option of a generated series, or the seeded
+    realizations of a process spec, whose defaults are set on ``args`` for
+    the sidecar (``--realizations`` ``default_count``, ``--seed`` 0)."""
     if args.input:
-        names = ("process", "length") + tuple(name for name, _ in _PROCESS_PARAMS)
-        given = [f"--{name}" for name in names if getattr(args, name) is not None]
+        names = ("process", "length", "seed", "realizations",
+                 *(name for name, _ in _PROCESS_PARAMS))
+        given = [f"--{name}" for name in names
+                 if getattr(args, name, None) is not None]
         if args.no_dither:
             given.append("--no-dither")
         if given:
             raise ValidationError(f"--input excludes {', '.join(given)}")
         return args.input[0], [read_series(path) for path in args.input]
+    count = getattr(args, "realizations", 1)  # census takes no --realizations
+    if count is None:
+        count = args.realizations = default_count
     spec = _spec_from_args(args, default_length)
     return args.process, realization_specs(spec, count)
 
@@ -231,7 +238,7 @@ def _cmd_entropy(args) -> int:
     cls = ComplexityClass.parse(getattr(args, "class"))
     orders = _parse_orders(args.orders)
     alphas = _parse_alphas(args.alpha)
-    label, sources = _load_sources(args, 50_000, args.realizations)
+    label, sources = _load_sources(args, 50_000)
     measure = partial(entropy_cells, orders=orders, alphas=alphas, cls=cls,
                       stabilized=args.stabilized)
     members = run_ensemble(measure, sources, args.jobs, label)
@@ -265,7 +272,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_decay(args) -> int:
     L = _check_order_option(args.order)
-    label, sources = _load_sources(args, 7_000, args.realizations)
+    label, sources = _load_sources(args, 7_000, 35)
     members = run_ensemble(partial(missing_curves, orders=(L,)), sources,
                            args.jobs, label)
     curves = [m[L] for m in members]
@@ -372,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--alpha", default="0.5,1,1.5", help="comma list")
     p_ent.add_argument("--class", default="fac",
                        help="complexity class: exp:c | fac | sub:c | subn:n")
-    p_ent.add_argument("--realizations", type=int, default=1)
+    p_ent.add_argument("--realizations", type=int)
     p_ent.add_argument("--jobs", type=int, default=1)
     p_ent.add_argument("--stabilized", action="store_true",
                        help="stop each census once the distribution stabilizes")
@@ -383,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="exponential")
     p_dec.add_argument("--free-intercept", action="store_true",
                        help="do not pin the intercept to ln(L!-1)")
-    p_dec.add_argument("--realizations", type=int, default=35)
+    p_dec.add_argument("--realizations", type=int)
     p_dec.add_argument("--jobs", type=int, default=1)
 
     p_exp = sub.add_parser("experiment", help="run a packaged experiment")

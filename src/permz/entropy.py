@@ -2,8 +2,9 @@
 
 A complexity class is the growth law ``g`` of the log allowed-pattern
 count.  Every supported law is ``g(t) = c * t * ln^(n)(t)``, with
-``ln^(0)`` read as 1.  Its Z-entropy is ``g^{-1}(R_alpha(p)) - g^{-1}(0)``,
-which is zero on singular distributions and extensive over uniform ones:
+``ln^(0)`` read as 1.  Its Z-entropy, :meth:`ComplexityClass.z`, is
+``g^{-1}(R_alpha(p)) - g^{-1}(0)``, which is zero on singular
+distributions and extensive over uniform ones:
 
 =================  ======  ======  ===================  =================
 class              c       n       g(t)                 g^{-1}(s)
@@ -29,7 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DataError, NumericalError, ValidationError
-from .ordinal import PatternDistribution
+from .ordinal import PatternDistribution, _check_order
 
 __all__ = [
     "ComplexityClass",
@@ -288,6 +289,10 @@ class ComplexityClass:
         distributions."""
         return exp_iterated(0.0, self.n) if self.n else 0.0
 
+    def z(self, r: float) -> float:
+        """The Z-entropy ``g^{-1}(r) - g^{-1}(0)`` of a Renyi entropy r."""
+        return self.inverse(r) - self.inverse_zero
+
 
 # ---------------------------------------------------------------------------
 # Entropies
@@ -341,8 +346,7 @@ def renyi_entropy(dist, alpha: float) -> float:
 
 def z_entropy(dist, complexity_class: ComplexityClass, alpha: float) -> float:
     """Z-entropy ``g^{-1}(R_alpha(p)) - g^{-1}(0)`` for ``alpha > 0``."""
-    r = renyi_entropy(dist, _check_alpha(alpha, positive=True))
-    return complexity_class.inverse(r) - complexity_class.inverse_zero
+    return complexity_class.z(renyi_entropy(dist, _check_alpha(alpha, positive=True)))
 
 
 def z_topological(allowed_count: int, complexity_class: ComplexityClass) -> float:
@@ -350,8 +354,7 @@ def z_topological(allowed_count: int, complexity_class: ComplexityClass) -> floa
     allowed-pattern count ``A >= 1``."""
     if allowed_count < 1:
         raise ValidationError("allowed_count must be at least 1")
-    ln_a = math.log(allowed_count)
-    return complexity_class.inverse(ln_a) - complexity_class.inverse_zero
+    return complexity_class.z(math.log(allowed_count))
 
 
 @dataclass(frozen=True)
@@ -363,6 +366,20 @@ class RateFit:
     residual: float
 
 
+def _fit_points(pairs, what: str) -> list[tuple[int, float]]:
+    """The ``(L, value)`` points of a fit over orders: each L an order, each
+    value finite (an int of any size is), and at least 3 distinct orders."""
+    points = []
+    for L, value in pairs:
+        _check_order(L, hi=math.inf)
+        if not isinstance(value, Integral) and not math.isfinite(value):
+            raise DataError(f"{what} must be finite")
+        points.append((int(L), value))
+    if len({L for L, _ in points}) < 3:
+        raise DataError("need at least 3 distinct orders")
+    return points
+
+
 def entropy_rate_estimate(pairs) -> RateFit:
     """Extrapolate per-symbol entropy to ``1/L -> 0``.
 
@@ -371,14 +388,9 @@ def entropy_rate_estimate(pairs) -> RateFit:
     against ``1/L`` estimates the entropy rate.  The RMS residual of
     the fit is reported alongside.
     """
-    data = [(int(L), float(v)) for L, v in pairs]
-    orders = {L for L, _ in data}
-    if len(orders) < 3:
-        raise DataError("need at least 3 pairs with distinct orders")
-    if any(L <= 0 for L in orders):
-        raise ValidationError("orders must be positive")
+    data = _fit_points(pairs, "Z/L values")
     x = np.array([1.0 / L for L, _ in data])
-    y = np.array([v for _, v in data])
+    y = np.array([float(v) for _, v in data])
     design = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ coef

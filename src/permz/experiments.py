@@ -2,8 +2,8 @@
 
 Each experiment produces plot-ready CSV tables plus a JSON metadata
 sidecar recording the full configuration, the seed scheme and the
-runtime.  Realization i of process j has the seed ``derive_seed(base,
-S * j + i)``, S = 1_000_003, so runs are reproducible and parallelizable.
+runtime.  Realization i of process j is seeded ``member_seed(base, j, i)``
+(:mod:`permz.processes`), so runs are reproducible and parallelizable.
 
 Every ensemble, here and in the ``entropy`` and ``decay`` commands, runs
 through one engine, :func:`run_ensemble`: each member generates its
@@ -16,8 +16,8 @@ order out of range, a NumericalError from a generator) propagates
 unchanged, and only foreign exceptions are wrapped as DataError naming
 the process.
 
-Those commands also share this module's realization seeds, entropy
-cells, table text and text-file reads and writes.
+Those commands also share this module's entropy cells, table text and
+text-file reads and writes.
 
 Experiments, with the series length T each uses when ``t_max`` is None
 -----------------------------------------------------------------------
@@ -49,18 +49,21 @@ from pathlib import Path
 
 import numpy as np
 
-# ordinal's functions are looked up through the module at call time, so a
-# wrapper installed on permz.ordinal (as tracing does) sees these calls
-from . import __version__, ordinal
+# ordinal's functions and renyi_entropy are looked up through their module at
+# call time, so a wrapper installed there (as tracing does) sees these calls
+from . import __version__, entropy, ordinal
 from .analysis import fit_decay, stabilized_census, xp_allowed_count, xp_class_constant
-from .entropy import (
-    ComplexityClass, _check_alpha, renyi_entropy, z_entropy, z_topological,
-)
+from .entropy import ComplexityClass, _check_alpha, z_topological
+from .entropy import z_entropy  # noqa: F401 -- perfbench traces this binding
 from .errors import DataError, PermzError, ValidationError
-from .processes import ProcessSpec, _check_count, _check_seed, derive_seed, generate
+from .processes import (
+    _PROC_SEED_STRIDE, ProcessSpec, _check_count, _check_seed, generate,
+    realization_specs,
+)
+from .processes import member_seed  # noqa: F401 -- perfbench imports it from here
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "ExperimentResult", "run_experiment",
-           "run_ensemble", "pool_size", "realization_specs", "entropy_cells",
+           "run_ensemble", "pool_size", "entropy_cells",
            "missing_curves", "render_table", "read_text", "write_text",
            "FACTORIAL_PROCESSES", "TABLE2_REFERENCE"]
 
@@ -91,7 +94,6 @@ TABLE2_REFERENCE: dict[int, dict[int, int]] = {
 }
 
 _FIG4_SUBSEQUENCES = ((2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
-_PROC_SEED_STRIDE = 1_000_003
 
 
 @dataclass(frozen=True)
@@ -127,19 +129,6 @@ class ExperimentResult:
     summary: dict
     metadata: dict
     files: list[str] = field(default_factory=list)
-
-
-def member_seed(base: int, process_index: int, realization: int) -> int:
-    return derive_seed(base, _PROC_SEED_STRIDE * process_index + realization)
-
-
-def realization_specs(spec: ProcessSpec, count: int,
-                      process_index: int = 0) -> list[ProcessSpec]:
-    """``count`` realizations of ``spec``, realization i seeded
-    ``member_seed(spec.seed, process_index, i)`` (``derive_seed`` at index 0)."""
-    _check_count("realizations", count)
-    return [replace(spec, seed=member_seed(spec.seed, process_index, i))
-            for i in range(count)]
 
 
 # -- tables and files -------------------------------------------------------
@@ -229,15 +218,16 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
                   stabilized: bool = True) -> dict:
     """``(R_alpha, Z_alpha, Z_alpha / L)`` of one series under ``cls`` per
     ``(L, alpha)``, from the stabilized census or else every window's;
-    alpha 0 gives the topological Z-entropy of the support."""
+    alpha 0 gives the topological Z-entropy of the support (its
+    ``math.log``, which can differ from R_0's ``np.log`` in the last bit)."""
     out = {}
     for L in orders:
         dist = (stabilized_census(series, L) if stabilized
                 else ordinal.pattern_census(series, L))
         for alpha in alphas:
-            z = (z_entropy(dist, cls, alpha) if alpha > 0
-                 else z_topological(dist.support_size, cls))
-            out[(L, alpha)] = (renyi_entropy(dist, alpha), z, z / L)
+            r = entropy.renyi_entropy(dist, alpha)
+            z = cls.z(r) if alpha > 0 else z_topological(dist.support_size, cls)
+            out[(L, alpha)] = (r, z, z / L)
     return out
 
 

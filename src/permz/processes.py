@@ -28,7 +28,7 @@ documented draw order per kind:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from numbers import Integral, Real
 
@@ -44,6 +44,7 @@ __all__ = [
     "generate",
     "fgn_autocovariance",
     "derive_seed",
+    "realization_specs",
     "map_orbit",
     "dither_kicks",
 ]
@@ -65,6 +66,7 @@ _DITHER_PERIOD = 10_000
 _DEFAULT_X0 = 0.2002
 _NOISE_AMPLITUDE = {"noisy-logistic": 0.30, "noisy-schuster": 0.25}
 _XP_AMPLITUDE_MARGIN = 1e-9  # keeps noise strictly below delta/2
+_PROC_SEED_STRIDE = 1_000_003
 
 
 def _check_count(name: str, value) -> None:
@@ -80,6 +82,15 @@ def _check_seed(seed) -> None:
 def _check_period(p) -> None:
     if not isinstance(p, Integral) or p < 2:
         raise ValidationError("period must be an integer >= 2")
+
+
+def _check_residues(residues, p) -> tuple[int, ...]:
+    """The residue guard: a sequence of integers in ``0..p-1``, returned as
+    a tuple."""
+    residues = tuple(residues) if np.iterable(residues) else (None,)  # None fails
+    if any(not isinstance(r, Integral) or not 0 <= r < p for r in residues):
+        raise ValidationError(f"residues must be integers in 0..{p - 1}")
+    return residues
 
 
 @dataclass(frozen=True)
@@ -144,12 +155,8 @@ class ProcessSpec:
             if self.delta is not None and not self.delta > 0:
                 raise ValidationError("delta must be positive")
             if self.noiseless_residues is not None:
-                residues = tuple(self.noiseless_residues)
-                if any(not 0 <= r < self.period for r in residues):
-                    raise ValidationError(
-                        "noiseless residues must lie in 0..period-1"
-                    )
-                object.__setattr__(self, "noiseless_residues", residues)
+                object.__setattr__(self, "noiseless_residues", _check_residues(
+                    self.noiseless_residues, self.period))
         if self.kind == "piecewise-linear":
             if self.sigma is None or not self.sigma > 1.0:
                 raise ValidationError("sigma must exceed 1")
@@ -176,6 +183,20 @@ def derive_seed(base_seed: int, index: int) -> int:
     """Per-realization seed for ensemble member ``index``."""
     _check_seed(base_seed)
     return (int(base_seed) + int(index)) & 0xFFFFFFFFFFFFFFFF
+
+
+def member_seed(base: int, process_index: int, realization: int) -> int:
+    """The one seed rule of every ensemble, experiment, CLI or map scan."""
+    return derive_seed(base, _PROC_SEED_STRIDE * process_index + realization)
+
+
+def realization_specs(spec: ProcessSpec, count: int,
+                      process_index: int = 0) -> list[ProcessSpec]:
+    """``count`` realizations of ``spec``, realization i seeded
+    ``member_seed(spec.seed, process_index, i)`` (``derive_seed`` at index 0)."""
+    _check_count("realizations", count)
+    return [replace(spec, seed=member_seed(spec.seed, process_index, i))
+            for i in range(count)]
 
 
 def fgn_autocovariance(hurst: float, lag: int) -> float:

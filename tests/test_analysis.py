@@ -27,7 +27,8 @@ from permz.ordinal import (
     visible_curve,
     window_codes,
 )
-from permz.processes import ProcessSpec, derive_seed, generate
+from permz.processes import ProcessSpec, derive_seed, generate, map_orbit
+from permz.rng import Stream
 
 
 # -- missing / pc traces ------------------------------------------------------
@@ -208,8 +209,15 @@ def test_xp_class_constants():
     assert xp_class_constant(3, 1) == pytest.approx(1 / 3)
     assert xp_class_constant(3, 2) == pytest.approx(2 / 3)
     assert xp_class_constant(5, 2) == pytest.approx(2 / 5)
+    for bad in (3, -1, 1.5, "1"):
+        with pytest.raises(ValidationError):
+            xp_class_constant(3, bad)
+
+
+@pytest.mark.parametrize("bad", [(3,), (1.5,), ("1",), 5])
+def test_xp_pattern_probabilities_rejects_bad_residues(bad):
     with pytest.raises(ValidationError):
-        xp_class_constant(3, 3)
+        xp_pattern_probabilities(3, 4, noiseless_residues=bad)
 
 
 def test_oracle_agrees_with_closed_form():
@@ -312,6 +320,12 @@ def test_estimate_validation():
         estimate_class_constant([(3, 8), (4, 16), (5, 0)], "exponential")
     with pytest.raises(ValidationError):
         estimate_class_constant([(3, 8), (4, 16), (5, 32)], "quadratic")
+    for bad in (0, 1, 3.7):  # an order outside 2, 3, ... or not an integer
+        with pytest.raises(ValidationError):
+            estimate_class_constant([(bad, 8), (4, 16), (5, 32)], "sub_linear_log")
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DataError):
+            estimate_class_constant([(3, 8), (4, bad), (5, 32)], "exponential")
 
 
 # -- forbidden patterns ----------------------------------------------------------
@@ -339,6 +353,29 @@ def reference_forbidden_patterns(spec, L, n_orbits, orbit_len):
             for code in range(math.factorial(L)) if code not in seen}
 
 
+@pytest.mark.parametrize("kind", ["shift", "logistic", "piecewise-linear"])
+@pytest.mark.parametrize("seed", [0, 7, -1, 2**64 - 1])
+def test_orbit_batch_follows_the_seed_rule(kind, seed):
+    """The scan's seeds, written out: shift orbit i is the series at
+    ``derive_seed(seed, i)``; a map's initial conditions are the uniforms
+    of stream ``seed`` and orbit i is kicked by stream
+    ``derive_seed(seed, i + 1)``, one uniform per 10 000 steps."""
+    extra = {"sigma": 2.7} if kind == "piecewise-linear" else {}
+    spec = ProcessSpec(kind, length=1, seed=seed, **extra)
+    n_orbits, orbit_len = 3, 25_000  # three kick blocks per zigzag orbit
+    if kind == "shift":
+        rows = [generate(replace(spec, length=orbit_len, seed=derive_seed(seed, i)))
+                for i in range(n_orbits)]
+    else:
+        x0 = 1e-6 + (1.0 - 2e-6) * Stream(seed).uniforms(n_orbits)
+        rows = [map_orbit(spec, float(x0[i]), orbit_len,
+                          Stream(derive_seed(seed, i + 1)).uniforms(3)
+                          if kind == "piecewise-linear" else None)
+                for i in range(n_orbits)]
+    batch = _orbit_batch(spec, n_orbits, orbit_len)
+    assert batch.tobytes() == np.vstack(rows).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["logistic", "piecewise-linear", "shift"]),
        L=st.integers(2, 7), n_orbits=st.integers(1, 4),
@@ -358,6 +395,10 @@ def test_forbidden_validation():
     for bad in (8, 1, 3.0):
         with pytest.raises(ValidationError):
             forbidden_patterns_of_map(ProcessSpec("logistic", length=1), bad, 5, 100)
+    for n_orbits, orbit_len in ((2.5, 100), (0, 100), (2, 100.5), (2, 2)):
+        with pytest.raises(ValidationError):
+            forbidden_patterns_of_map(ProcessSpec("logistic", length=1), 3,
+                                      n_orbits, orbit_len)
 
 
 # -- stabilized census ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import sys
@@ -37,3 +38,18 @@ def test_every_traced_binding_resolves_to_a_callable(monkeypatch):
     for module_name, attr, *_ in spans.WRAP_POINTS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    """perfbench imports names from where the program used to define them;
+    a name moved without a re-export would fail only in a benchmark run."""
+    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "permz"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                found = hasattr(module, alias.name) or importlib.util.find_spec(
+                    f"{node.module}.{alias.name}") is not None  # a submodule
+                assert found, f"{path.name}: from {node.module} import {alias.name}"

@@ -560,10 +560,26 @@ def test_unwritable_output_exits_3(argv, kind, message, monkeypatch, tmp_path, c
                                      ("decay", "--order", "3")])
 @pytest.mark.parametrize("option", [("--process", "fbm"), ("--length", "500"),
                                     ("--hurst", "0.3"), ("--sigma", "2"),
-                                    ("--no-dither",)])
+                                    ("--no-dither",), ("--seed", "7"),
+                                    ("--realizations", "2")])
 def test_input_with_a_process_option_exits_2_before_reading(command, option,
                                                             tmp_path, capsys):
     missing = tmp_path / "absent.txt"  # reading it would exit 3
     code, out = run_cli(*command, "--input", str(missing), *option)
     assert code == 2 and out == ""
-    assert f"--input excludes {option[0]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command[0] == "census" and option[0] == "--realizations":
+        assert "unrecognized arguments: --realizations" in err  # census takes none
+    else:
+        assert f"--input excludes {option[0]}" in err
+
+
+@pytest.mark.parametrize("command", [("census", "--order", "3"),
+                                     ("entropy", "--orders", "3")])
+def test_input_sidecar_records_no_seed_or_realizations(command, tmp_path):
+    series, out = tmp_path / "s.txt", tmp_path / "out.csv"
+    write_series(str(series), np.arange(50.0) % 7)
+    code, _ = run_cli(*command, "--input", str(series), "--output", str(out))
+    assert code == 0
+    options = json.loads((tmp_path / "out.csv.json").read_text())["options"]
+    assert "seed" not in options and "realizations" not in options

@@ -274,6 +274,26 @@ def test_z_topological_values():
         z_topological(0, ComplexityClass.factorial())
 
 
+CLASS_FORMS = [ComplexityClass.exponential(0.7), ComplexityClass.factorial(),
+               ComplexityClass.sub_factorial(0.4), ComplexityClass.sub_iterated_log(2),
+               ComplexityClass.sub_iterated_log(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from(CLASS_FORMS), r=st.floats(0.0, 60.0),
+       weights=st.lists(st.integers(1, 1000), min_size=1, max_size=30),
+       alpha=st.sampled_from([0.5, 1.0, 2.0]), allowed=st.integers(1, 2 * 10**6))
+def test_z_is_the_inline_formula_bit_for_bit(cls, r, weights, alpha, allowed):
+    """``ComplexityClass.z`` and the two Z-entropies keep the bits of the
+    formula ``g^{-1}(R) - g^{-1}(0)`` written out at each call site."""
+    assert cls.z(r).hex() == (cls.inverse(r) - cls.inverse_zero).hex()
+    p = np.array(weights) / sum(weights)
+    assert z_entropy(p, cls, alpha).hex() == (
+        cls.inverse(renyi_entropy(p, alpha)) - cls.inverse_zero).hex()
+    assert z_topological(allowed, cls).hex() == (
+        cls.inverse(math.log(allowed)) - cls.inverse_zero).hex()
+
+
 def test_z_topological_equals_z_on_uniform_support():
     cls = ComplexityClass.factorial()
     for w in (3, 8, 20):
@@ -385,6 +405,12 @@ def test_rate_estimate_errors():
         entropy_rate_estimate([(4, 1.0), (5, 1.0)])
     with pytest.raises(DataError):
         entropy_rate_estimate([(4, 1.0), (4, 1.1), (4, 0.9)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DataError):
+            entropy_rate_estimate([(3, bad), (4, 1.0), (5, 1.0)])
+    for bad in (0, 1, 3.7):  # an order outside 2, 3, ... or not an integer
+        with pytest.raises(ValidationError):
+            entropy_rate_estimate([(bad, 1.0), (4, 1.0), (5, 1.0)])
 
 
 def test_white_noise_ensemble_tracks_analytic_uniform_law():

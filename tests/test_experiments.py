@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from permz.entropy import ComplexityClass, renyi_entropy
 from permz.errors import DataError, NumericalError, ValidationError
-from permz.experiments import ExperimentConfig, pool_size, run_ensemble, run_experiment
-from permz.processes import ProcessSpec
+from permz.experiments import (
+    ExperimentConfig, entropy_cells, pool_size, run_ensemble, run_experiment,
+)
+from permz.processes import ProcessSpec, generate
 
 
 def _raise_numerical(series):
@@ -114,3 +117,19 @@ def test_fractional_jobs_raise_validation_error_before_any_member():
         pool_size(1.5, 2)
     with pytest.raises(ValidationError, match="at least 1"):
         run_ensemble(_raise_foreign, [np.zeros(3)] * 2, 1.5, "x")
+
+
+def test_entropy_cells_compute_each_renyi_entropy_once(monkeypatch):
+    calls = []
+
+    def counted(dist, alpha):
+        calls.append(alpha)
+        return renyi_entropy(dist, alpha)
+
+    # every binding: the module's, and one the cell may hold of its own
+    monkeypatch.setattr("permz.entropy.renyi_entropy", counted)
+    monkeypatch.setattr("permz.experiments.renyi_entropy", counted, raising=False)
+    series = generate(ProcessSpec("white-noise", length=2000, seed=1))
+    cells = entropy_cells(series, orders=(3, 4, 5), alphas=(0.0, 0.5, 1.0, 1.5),
+                          cls=ComplexityClass.factorial())
+    assert len(cells) == 12 and len(calls) == 12

@@ -12,6 +12,12 @@ became the only input form of ``fit_decay``.  The ``entropy``,
 ``generate`` (to stdout), plain ``census`` and ``xp`` digests were
 captured before ``entropy_report`` was removed and the CLI stopped
 copying the experiment defaults.
+
+The ``--output`` runs of ``generate``, ``census``, ``entropy`` and
+``decay`` digest the written file and its JSON sidecar, with and without
+``--seed`` and ``--realizations``; they were captured while ``--seed``
+and ``--realizations`` still had argparse defaults, so they pin the
+defaults each ``--process`` run records.
 """
 
 import hashlib
@@ -159,3 +165,45 @@ def test_cli_outputs_match_golden_digests(argv):
     with redirect_stdout(buf):
         assert main(list(argv)) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CLI_GOLDEN[argv]
+
+
+SIDECAR_GOLDEN = {
+    ("generate", "--process", "noisy-schuster", "--length", "200"): (
+        "c1406ce45d28a040db6d94c52fb21097199ec6632f12b656f78f77f089e0a63f",
+        "42b2fb758384a273f0ff5828d4a631af035ccf9142b7f7b1efb2cf5b5e9a9e79"),
+    ("generate", "--process", "noisy-schuster", "--length", "200", "--seed", "4"): (
+        "010f1020b90d485bf64071b1f0ac9f04e2e6add13e2dbbb81c1ec4367ff03aa5",
+        "4d1b7150db6dbb1feccd744691cd25b5561a2eed943d83f11b65d6fe0f4a5532"),
+    ("census", "--process", "white-noise", "--length", "500", "--order", "3"): (
+        "d71427c98dc7b7f9cb8a624206dea7be22308f27e43d23b16b46a0e4ddd7c616",
+        "ce3f64fd3ecc4d6d5163612de28670891e7c3e4343d149ebe66b2f17c8ed1b66"),
+    ("census", "--process", "white-noise", "--length", "500", "--order", "3",
+     "--seed", "4"): (
+        "24b9ff0fc06545dd486cf5dc32bc893e77dbfa61a53b40d10485aeca8bcb30c4",
+        "d495874e65f4329860676063aa950161ecb7f172005c2680beaca7ca2d7f933c"),
+    ("entropy", "--process", "white-noise", "--length", "2000", "--orders", "3"): (
+        "6ecb7e1bbb8381773377514a22b5074f743d48a58bc52d9721af61b6ae715e1c",
+        "a22816dd82a7be1a658a3fb3a3de394fa6e5d0c2d270105454f50a9706cae5cb"),
+    ("entropy", "--process", "white-noise", "--length", "2000", "--orders", "3",
+     "--seed", "5", "--realizations", "2"): (
+        "ce368ec3a32638349ad4d327771c03689ef34ae5f6b02e8fbe1bb51d03659627",
+        "cda4a19a40429cf9803e13e99a551e1cfd11c556688542f238b42d45d7039001"),
+    ("decay", "--process", "white-noise", "--length", "300", "--order", "4"): (
+        "19f1702c2ef69c972909169a3a18050c9b89d27b7ae0896e57684dec2d36623b",
+        "9d9ada4490e1d1be5cf8d8bcfe2eb3fcd4c92ae53e6de82e4fb28ed89ca09726"),
+    ("decay", "--process", "white-noise", "--length", "300", "--order", "4",
+     "--seed", "11", "--realizations", "3"): (
+        "18aa88162d48c00ce1925827626d4e182710a7b7967ffe6dae6b2366c1574dd2",
+        "6bedd22674bfc9f8159a013ee77228dd6dcf359df6159f0fc7e0fbfd8fe88a01"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SIDECAR_GOLDEN), ids=" ".join)
+def test_output_and_sidecar_match_golden_digests(argv, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # the sidecar records the --output path
+    with redirect_stdout(io.StringIO()):
+        assert main([*argv, "--output", "out"]) == 0
+    assert tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("out", "out.json")
+    ) == SIDECAR_GOLDEN[argv]

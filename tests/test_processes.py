@@ -37,6 +37,9 @@ def test_parameter_domains():
         ProcessSpec("xp", length=10, period=3, delta=-1.0)
     with pytest.raises(ValidationError):
         ProcessSpec("xp", length=10, period=3, noiseless_residues=(3,))
+    for bad in ((1.5,), ("1",), 5):  # a fraction, a string, a bare integer
+        with pytest.raises(ValidationError):
+            ProcessSpec("xp", length=6, period=3, noiseless_residues=bad)
     with pytest.raises(ValidationError):
         ProcessSpec("piecewise-linear", length=10, sigma=0.9)
     with pytest.raises(ValidationError):
