@@ -380,5 +380,9 @@ def stabilized_census(series, L: int) -> PatternDistribution:
     one-block case of this rule.  All ``N - L + 1`` windows are coded
     first, so the early exit decides how many are counted, not coded.
     """
-    codes = window_codes(series, L)
+    return _stabilized(window_codes(series, L), L)
+
+
+def _stabilized(codes: np.ndarray, L: int) -> PatternDistribution:
+    """:func:`stabilized_census` of these ``L``-window codes."""
     return _census(codes, L, min(5 * math.factorial(L), codes.size))

@@ -52,7 +52,8 @@ import numpy as np
 # ordinal's functions and renyi_entropy are looked up through their module at
 # call time, so a wrapper installed there (as tracing does) sees these calls
 from . import __version__, entropy, ordinal
-from .analysis import fit_decay, stabilized_census, xp_allowed_count, xp_class_constant
+from .analysis import _stabilized, fit_decay, xp_allowed_count, xp_class_constant
+from .analysis import stabilized_census  # noqa: F401 -- perfbench traces this binding
 from .entropy import ComplexityClass, _check_alpha, z_topological
 from .entropy import z_entropy  # noqa: F401 -- perfbench traces this binding
 from .errors import DataError, PermzError, ValidationError
@@ -220,10 +221,11 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
     ``(L, alpha)``, from the stabilized census or else every window's;
     alpha 0 gives the topological Z-entropy of the support (its
     ``math.log``, which can differ from R_0's ``np.log`` in the last bit)."""
+    count = _stabilized if stabilized else ordinal._census
+    coded = ordinal._codes_per_order(series, orders)
     out = {}
-    for L in orders:
-        dist = (stabilized_census(series, L) if stabilized
-                else ordinal.pattern_census(series, L))
+    # map holds no code array once it is counted
+    for L, dist in zip(orders, map(count, coded, orders)):
         for alpha in alphas:
             r = entropy.renyi_entropy(dist, alpha)
             z = cls.z(r) if alpha > 0 else z_topological(dist.support_size, cls)
@@ -236,12 +238,15 @@ def _g_curve(series, L: int) -> np.ndarray:
 
 
 def _g_curve_and_support(series, L: int) -> tuple[np.ndarray, list[int]]:
-    return _g_curve(series, L), list(ordinal.pattern_census(series, L).counts)
+    codes = ordinal.window_codes(series, L)
+    return (np.log(ordinal._prefix_curve(codes, L)),
+            list(ordinal._census(codes, L).counts))
 
 
 def missing_curves(series, orders) -> dict[int, np.ndarray]:
     """Missing-pattern count ``L! - A`` at every prefix length, per order."""
-    return {L: math.factorial(L) - ordinal.visible_curve(series, L) for L in orders}
+    curves = map(ordinal._prefix_curve, ordinal._codes_per_order(series, orders), orders)
+    return {L: math.factorial(L) - curve for L, curve in zip(orders, curves)}
 
 
 # -- fig1 / fig4 (Z-entropy rates) ------------------------------------------

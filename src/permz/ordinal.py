@@ -7,6 +7,10 @@ keyed by their Lehmer code, an integer in ``[0, L!)``.
 
 All censuses slide a stride-1 window over the series, so a series of
 length ``N`` yields ``N - L + 1`` windows, all counted by ``_census``.
+Codes come from running sums of comparisons over the lags (``_lag_sums``),
+built once per series up to its largest order: ``_codes_per_order`` serves
+every order of a series from one pass, and ``window_codes`` is its
+one-order case.
 """
 
 from __future__ import annotations
@@ -158,31 +162,83 @@ def lehmer_decode(code: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _lag_sums(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums over the lags of ``c_l[t] = x[t - l] > x[t]``, ``l < top``.
+
+    ``E[a, t] = sum_{l <= a} c_l[t]`` and ``F[k, u] = sum_{j <= k} c_j[u + j]``,
+    so in the window at ``w`` position ``a`` has ``e_a = E[a, w + a]``
+    earlier positions with a larger value and ``l_a = F[L - 1 - a, w + a]``
+    later ones with a smaller value, whatever the order ``L <= top``.
+    """
+    N = x.size
+    E = np.zeros((top, N), dtype=np.int8)
+    F = np.zeros((top, N), dtype=np.int8)
+    for lag in range(1, top):
+        above = x[: N - lag] > x[lag:]  # c_lag[t] at index t - lag
+        np.add(E[lag - 1, lag:], above, out=E[lag, lag:])
+        np.add(F[lag - 1, : N - lag], above, out=F[lag, : N - lag])
+    return E, F
+
+
+def _order_codes(E: np.ndarray, F: np.ndarray, L: int) -> np.ndarray:
+    """Codes of every ``L``-window from the lag sums, by the rule of
+    :func:`window_codes`.  The terms are nonnegative, so every partial sum
+    fits the narrowest integer that holds ``L! - 1``, the fastest to add."""
+    n = E.shape[1] - L + 1
+    dtype = np.min_scalar_type(-factorial(L))
+    weight = np.array([factorial(L - 1 - r) for r in range(L)], dtype=dtype)
+    codes = np.zeros(n, dtype=dtype)
+    rank = np.empty(n, dtype=np.intp)
+    term = np.empty(n, dtype=dtype)
+    for a in range(1, L):  # e_0 = 0
+        e = E[a, a : a + n]
+        np.subtract(F[L - 1 - a, a : a + n], e, out=rank, dtype=np.intp)
+        rank += a
+        weight.take(rank, out=term, mode="clip")  # 0 <= rank < L: no clipping
+        term *= e
+        codes += term
+    return codes.astype(np.int64, copy=False)
+
+
+def _codes_per_order(series, orders):
+    """Iterator over :func:`window_codes` of the series at each of
+    ``orders``, in the order given (repeats included).
+
+    The lag sums up to the largest order are built once and serve every
+    order.  Orders, the series and its length are checked before any
+    work; the sums are released once the last order is coded.
+    """
+    orders = tuple(orders)
+    for L in orders:
+        _check_order(L)
+    x = _as_series(series)
+    for L in orders:
+        if x.size < L:
+            raise DataError(f"series of length {x.size} is shorter than L={L}")
+    return _coded(x, orders)
+
+
+def _coded(x: np.ndarray, orders: tuple[int, ...]):
+    if not orders:
+        return
+    E, F = _lag_sums(x, max(orders))
+    for i, L in enumerate(orders):
+        codes = _order_codes(E, F, L)
+        if i == len(orders) - 1:
+            del E, F  # not held while the last order's codes are used
+        yield codes
+
+
 def window_codes(series, L: int) -> np.ndarray:
     """Lehmer codes of every stride-1 window of the series.
 
     For window position ``a``, ``e_a`` counts the earlier positions with
     a larger value and ``l_a`` the later ones with a smaller value.  The
     stable-sort rank of ``a`` is ``r_a = a - e_a + l_a`` and the code is
-    ``sum_a e_a * (L - 1 - r_a)!``: shifted-slice comparisons, no sort.
+    ``sum_a e_a * (L - 1 - r_a)!``.  Both counts come from running sums
+    of shifted-slice comparisons over the lags ``1..L-1``: no sort.
     """
-    _check_order(L)
-    x = _as_series(series)
-    if x.size < L:
-        raise DataError(f"series of length {x.size} is shorter than L={L}")
-    n = x.size - L + 1
-    weight = np.array([factorial(L - 1 - r) for r in range(L)], dtype=np.int64)
-    earlier = np.zeros((L, n), dtype=np.int8)
-    codes = np.zeros(n, dtype=np.int64)
-    for a in range(L):
-        # e_a is complete here; l_a comes from comparing a with each later b
-        later = np.zeros(n, dtype=np.int8)
-        for b in range(a + 1, L):
-            above = x[a : a + n] > x[b : b + n]
-            later += above
-            earlier[b] += above
-        codes += earlier[a] * weight[a - earlier[a] + later]
-    return codes
+    return next(_codes_per_order(series, (L,)))
 
 
 def _columns(codes: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +249,12 @@ def _columns(codes: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(codes, return_inverse=True)
 
 
-def _census(codes: np.ndarray, L: int, block: int) -> PatternDistribution:
+def _census(codes: np.ndarray, L: int, block: int | None = None) -> PatternDistribution:
     """The census rule: count in blocks with the stop rule and dict order
-    of :func:`permz.analysis.stabilized_census`; one block counts all."""
+    of :func:`permz.analysis.stabilized_census`; one block (the default)
+    counts all."""
     n = codes.size
+    block = n if block is None else block
     keys, col = _columns(codes, L)
     m = keys.size
     n_blocks = -(-n // block)
@@ -219,8 +277,7 @@ def _census(codes: np.ndarray, L: int, block: int) -> PatternDistribution:
 def pattern_census(series, L: int) -> PatternDistribution:
     """Count the ordinal patterns of all stride-1 windows, in code
     order: the one-block case of the census rule."""
-    codes = window_codes(series, L)
-    return _census(codes, L, codes.size)
+    return _census(window_codes(series, L), L)
 
 
 def visible_curve(series, L: int) -> np.ndarray:
@@ -232,7 +289,12 @@ def visible_curve(series, L: int) -> np.ndarray:
     This array is the one form of the prefix curve; the missing counts
     are ``L! - curve`` and the complexity function is ``ln(curve)``.
     """
-    codes = window_codes(series, L)
+    return _prefix_curve(window_codes(series, L), L)
+
+
+def _prefix_curve(codes: np.ndarray, L: int) -> np.ndarray:
+    """:func:`visible_curve` of these codes: each code is counted at its
+    first occurrence."""
     keys, col = _columns(codes, L)
     first = np.full(keys.size, codes.size)  # codes.size: never seen
     np.minimum.at(first, col, np.arange(codes.size))

@@ -319,7 +319,7 @@ def _xp_series(spec: ProcessSpec, stream: Stream) -> np.ndarray:
     phase = t % p
     zeta = amplitude * (2.0 * stream.uniforms(spec.length) - 1.0)
     if residues:
-        zeta[np.isin(phase, residues)] = 0.0
+        zeta[np.isin(np.arange(p), residues)[phase]] = 0.0
     return delta * phase + zeta
 
 

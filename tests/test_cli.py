@@ -268,6 +268,16 @@ def test_census_too_short_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [("census", "--order", "7"), ("decay", "--order", "7"),
+                                  ("entropy", "--orders", "3,7,9")])
+def test_series_shorter_than_an_order_exits_3(argv, tmp_path, capsys):
+    path = tmp_path / "five.txt"
+    write_series(str(path), np.arange(5.0))
+    code, out = run_cli(*argv, "--input", str(path))
+    assert code == 3 and out == ""
+    assert "error: series of length 5 is shorter than L=7" in capsys.readouterr().err
+
+
 # -- entropy ------------------------------------------------------------------
 
 def test_entropy_single_series_rows():

@@ -4,11 +4,15 @@ import os
 import numpy as np
 import pytest
 
+from permz import ordinal
+from permz.analysis import stabilized_census
 from permz.entropy import ComplexityClass, renyi_entropy
 from permz.errors import DataError, NumericalError, ValidationError
 from permz.experiments import (
-    ExperimentConfig, entropy_cells, pool_size, run_ensemble, run_experiment,
+    ExperimentConfig, _g_curve_and_support, entropy_cells, missing_curves, pool_size,
+    run_ensemble, run_experiment,
 )
+from permz.ordinal import pattern_census, visible_curve
 from permz.processes import ProcessSpec, generate
 
 
@@ -133,3 +137,49 @@ def test_entropy_cells_compute_each_renyi_entropy_once(monkeypatch):
     cells = entropy_cells(series, orders=(3, 4, 5), alphas=(0.0, 0.5, 1.0, 1.5),
                           cls=ComplexityClass.factorial())
     assert len(cells) == 12 and len(calls) == 12
+
+
+def _count_lag_sums(monkeypatch) -> list[int]:
+    tops = []
+    lag_sums = ordinal._lag_sums
+    monkeypatch.setattr(ordinal, "_lag_sums",
+                        lambda x, top: tops.append(top) or lag_sums(x, top))
+    return tops
+
+
+@pytest.mark.parametrize("stabilized", [True, False])
+def test_entropy_cells_code_each_series_once(stabilized, monkeypatch):
+    series = generate(ProcessSpec("noisy-logistic", length=6000, seed=2))
+    orders, alphas, cls = (5, 3, 7, 3), (0.0, 1.0, 2.0), ComplexityClass.factorial()
+    census = stabilized_census if stabilized else pattern_census
+    want = {}
+    for L in orders:
+        dist = census(series, L)
+        for alpha in alphas:
+            r = renyi_entropy(dist, alpha)
+            z = entropy_cells(series, (L,), (alpha,), cls, stabilized)[(L, alpha)][1]
+            want[(L, alpha)] = (r, z, z / L)
+    tops = _count_lag_sums(monkeypatch)
+    assert entropy_cells(series, orders, alphas, cls, stabilized) == want
+    assert tops == [7]
+
+
+def test_missing_curves_code_each_series_once(monkeypatch):
+    series = generate(ProcessSpec("fbm", length=3000, seed=4, hurst=0.6))
+    want = {L: math.factorial(L) - visible_curve(series, L) for L in (6, 4, 5)}
+    tops = _count_lag_sums(monkeypatch)
+    got = missing_curves(series, (6, 4, 5, 4))
+    assert tops == [6] and list(got) == [6, 4, 5]
+    assert all(np.array_equal(got[L], want[L]) for L in want)
+
+
+def test_fig3_measure_codes_each_series_once(monkeypatch):
+    series = generate(ProcessSpec("xp", length=50, seed=3, period=4))
+    want = (np.log(visible_curve(series, 6)), list(pattern_census(series, 6).counts))
+    calls = []
+    window_codes = ordinal.window_codes
+    monkeypatch.setattr(ordinal, "window_codes",
+                        lambda x, L: calls.append(L) or window_codes(x, L))
+    g, support = _g_curve_and_support(series, 6)
+    assert calls == [6]
+    assert g.tobytes() == want[0].tobytes() and support == want[1]

@@ -11,7 +11,9 @@ the sha256 of their standard output, captured before the prefix curve
 became the only input form of ``fit_decay``.  The ``entropy``,
 ``generate`` (to stdout), plain ``census`` and ``xp`` digests were
 captured before ``entropy_report`` was removed and the CLI stopped
-copying the experiment defaults.
+copying the experiment defaults.  The ``entropy`` runs over repeated,
+unsorted and ``L! > n`` order lists and ``decay --order 6`` were captured
+while every order was still coded on its own.
 
 The ``--output`` runs of ``generate``, ``census``, ``entropy`` and
 ``decay`` digest the written file and its JSON sidecar, with and without
@@ -156,6 +158,18 @@ CLI_GOLDEN = {
         "b78612ee4578cb13716bcd0489855402c059e130693a22f260ff2982872c69cd",
     ("xp", "--period", "3", "--orders", "3:9", "--alpha", "0.5,1,2"):
         "9c7f46247a30a68423b775b1b1d518d4e31da8c5a8f682736f9aa83cbc60d8e7",
+    ("entropy", "--process", "white-noise", "--length", "3000", "--seed", "7",
+     "--orders", "4,3,4"):
+        "5b2c81d2610b761af21ba25cd643192d515ae46ec0fb11223743c2ea42eced90",
+    ("entropy", "--process", "noisy-logistic", "--length", "5000", "--seed", "8",
+     "--orders", "7,3,5", "--stabilized"):
+        "3e984ce8293da59fca6ea9ad2934f386faef6778576cd38d8b6f142dce5b0ecc",
+    ("entropy", "--process", "xp", "--period", "2", "--length", "3000", "--seed", "9",
+     "--orders", "8:12"):
+        "d078a9469f055f6d6c6dd5007f4a989b2abd18a90f6a41748000b512a1a3ba4d",
+    ("decay", "--process", "white-noise", "--length", "3000", "--order", "6",
+     "--realizations", "3", "--seed", "14"):
+        "520056f817aad9e6dc27b012dcbaeaaa7a4613418938704cbc5cbfc75b00fc3e",
 }
 
 

@@ -1,16 +1,21 @@
 import math
+import weakref
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from permz import ordinal
 from permz.analysis import stabilized_census
 from permz.errors import DataError, ValidationError
 from permz.ordinal import (
     OrdinalPattern,
     PatternDistribution,
+    _as_series,
+    _check_order,
+    _codes_per_order,
     lehmer_decode,
     lehmer_encode,
     pattern_census,
@@ -260,6 +265,28 @@ def reference_window_codes(series, L: int) -> np.ndarray:
     return out
 
 
+def pairwise_window_codes(series, L: int) -> np.ndarray:
+    """The pairwise coder, kept as the second oracle for ``window_codes``:
+    every pair of window positions compared afresh for each order."""
+    _check_order(L)
+    x = _as_series(series)
+    if x.size < L:
+        raise DataError(f"series of length {x.size} is shorter than L={L}")
+    n = x.size - L + 1
+    weight = np.array([math.factorial(L - 1 - r) for r in range(L)], dtype=np.int64)
+    earlier = np.zeros((L, n), dtype=np.int8)
+    codes = np.zeros(n, dtype=np.int64)
+    for a in range(L):
+        # e_a is complete here; l_a comes from comparing a with each later b
+        later = np.zeros(n, dtype=np.int8)
+        for b in range(a + 1, L):
+            above = x[a : a + n] > x[b : b + n]
+            later += above
+            earlier[b] += above
+        codes += earlier[a] * weight[a - earlier[a] + later]
+    return codes
+
+
 _KIND_PARAMETERS = {"fgn": {"hurst": 0.3}, "fbm": {"hurst": 0.7},
                     "xp": {"period": 3}, "piecewise-linear": {"sigma": 2.5}}
 
@@ -270,6 +297,77 @@ def test_window_codes_equal_reference_at_workload_length(kind):
                              **_KIND_PARAMETERS.get(kind, {})))
     for L in (2, 3, 7, 8, 14, 20):
         assert np.array_equal(window_codes(x, L), reference_window_codes(x, L))
+
+
+@pytest.mark.parametrize("spec", [
+    ProcessSpec("white-noise", length=50_000, seed=3),
+    ProcessSpec("xp", length=50_000, seed=4, period=2),
+    ProcessSpec("xp", length=50_000, seed=5, period=3),
+])
+def test_codes_per_order_equal_pairwise_oracle_at_workload_length(spec):
+    x = generate(spec)
+    orders = (14, 2, 9, 20, 3, 9)
+    for L, codes in zip(orders, _codes_per_order(x, orders)):
+        assert np.array_equal(codes, pairwise_window_codes(x, L))
+
+
+@st.composite
+def coder_series(draw):
+    """Normal, tie-heavy integer, period-3, or signed-zero series."""
+    kind = draw(st.sampled_from(["normal", "ties", "period-3", "signed-zero"]))
+    size = draw(st.integers(20, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        return rng.normal(size=size)
+    if kind == "ties":
+        return rng.integers(0, 3, size=size).astype(np.float64)
+    if kind == "period-3":
+        return ((np.arange(size) + rng.integers(0, 3)) % 3).astype(np.float64)
+    return rng.choice([0.0, -0.0, 1.0], size=size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=coder_series(), orders=st.lists(st.integers(2, 20), min_size=1, max_size=8))
+@example(x=np.array([0.0, -0.0] * 12), orders=[4, 3, 4, 20, 2, 20])
+def test_codes_per_order_equal_pairwise_oracle_order_by_order(x, orders):
+    got = list(_codes_per_order(x, orders))
+    assert len(got) == len(orders)
+    for L, codes in zip(orders, got):
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, pairwise_window_codes(x, L))
+
+
+def test_codes_per_order_checks_everything_before_any_work():
+    x = np.arange(5.0)
+    # raised by the call itself, naming the first order the series is too short for
+    with pytest.raises(DataError, match=r"^series of length 5 is shorter than L=9$"):
+        _codes_per_order(x, (3, 9, 7))
+    with pytest.raises(DataError, match=r"^series of length 5 is shorter than L=7$"):
+        window_codes(x, 7)
+    for bad in (1, 21, 3.0, "3"):
+        with pytest.raises(ValidationError,
+                           match=r"^order L must be an integer at least 2, at most 20$"):
+            _codes_per_order(x, (3, bad))
+    with pytest.raises(DataError, match="non-finite"):
+        _codes_per_order(np.array([1.0, np.nan, 2.0]), (2,))
+    assert list(_codes_per_order(x, ())) == []
+
+
+def test_codes_per_order_releases_the_lag_sums_with_the_last_order(monkeypatch):
+    sums = []
+
+    def kept(x, top):
+        out = lag_sums(x, top)
+        sums.extend(weakref.ref(a) for a in out)
+        return out
+
+    lag_sums = ordinal._lag_sums
+    monkeypatch.setattr(ordinal, "_lag_sums", kept)
+    coded = _codes_per_order(np.random.default_rng(1).normal(size=100), (5, 3))
+    next(coded)
+    assert len(sums) == 2 and all(ref() is not None for ref in sums)
+    next(coded)  # the last order: the sums are gone before it is used
+    assert all(ref() is None for ref in sums)
 
 
 # a few value levels make ties; a leading run of equal values makes
