@@ -5,8 +5,7 @@ decay ``M_{L,T} = L! - A_{L,T}`` (an array over ``T = L, L+1, ...``, from
 the prefix curve ``A_{L,T}`` of :func:`permz.ordinal.visible_curve`),
 exact combinatorics of the noisy-periodic process family, growth-constant
 estimation, empirical forbidden-pattern detection for deterministic
-maps (a seen-mask over the ``L!`` codes), and the early-exit census,
-which counts by the one census rule of :mod:`permz.ordinal`.
+maps (a seen-mask over the ``L!`` codes).
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ import numpy as np
 
 from .entropy import _check_alpha, _fit_points, _is_shannon
 from .errors import DataError, ValidationError
-from .ordinal import (
-    OrdinalPattern, PatternDistribution, _census, _check_order, window_codes,
-)
+from .ordinal import OrdinalPattern, _check_order, stabilized_census, window_codes
 from .processes import (
     ProcessSpec, _check_count, _check_period, _check_residues, dither_kicks,
     generate, map_orbit, member_seed, realization_specs,
@@ -40,7 +37,7 @@ __all__ = [
     "xp_pattern_probabilities",
     "estimate_class_constant",
     "forbidden_patterns_of_map",
-    "stabilized_census",
+    "stabilized_census",  # from ordinal; this is its place in permz.__all__
 ]
 
 
@@ -191,6 +188,11 @@ def xp_class_constant(p: int, mu: int) -> float:
     return mu / p
 
 
+def _ln(q: Fraction) -> float:
+    """``ln q`` of a positive rational, finite at any size of its terms."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 @dataclass(frozen=True)
 class XpAnalytics:
     """Exact pattern statistics of the noisy-periodic process.
@@ -213,17 +215,21 @@ class XpAnalytics:
     c: float
 
     def renyi(self, alpha: float) -> float:
-        """Renyi entropy of the two-level distribution, any alpha >= 0."""
+        """Renyi entropy of the two-level distribution, any alpha >= 0, in
+        log space from the exact counts and probabilities, so it stays
+        finite and accurate at any order."""
         alpha = _check_alpha(alpha)
         if alpha == 0.0:
             return math.log(self.allowed)
-        p1 = float(self.P1)
         if self.N2 == 0:
             return math.log(self.N1)
-        p2 = float(self.P2)
+        masses = (self.N1 * self.P1, self.N2 * self.P2)
+        ln_p = (_ln(self.P1), _ln(self.P2))
         if _is_shannon(alpha):
-            return -(self.N1 * p1 * math.log(p1) + self.N2 * p2 * math.log(p2))
-        return math.log(self.N1 * p1**alpha + self.N2 * p2**alpha) / (1.0 - alpha)
+            return -sum(float(m) * lp for m, lp in zip(masses, ln_p))
+        # ln(N_i * P_i**alpha) = ln(N_i * P_i) + (alpha - 1) * ln P_i
+        lo, hi = sorted(_ln(m) + (alpha - 1.0) * lp for m, lp in zip(masses, ln_p))
+        return (hi + math.log1p(math.exp(lo - hi))) / (1.0 - alpha)
 
 
 def xp_distribution(p: int, L: int) -> XpAnalytics:
@@ -363,26 +369,3 @@ def forbidden_patterns_of_map(
         for code in np.flatnonzero(~seen).tolist()
     }
 
-
-# ---------------------------------------------------------------------------
-# Early-exit census
-# ---------------------------------------------------------------------------
-
-def stabilized_census(series, L: int) -> PatternDistribution:
-    """Census that stops once the pattern distribution stabilizes.
-
-    Windows are counted in blocks of ``5 * L!``.  The census stops at the
-    first block after which no pattern's running probability moved by
-    more than ``1e-4``, otherwise at the end of the series; the consumed
-    window count is ``total_windows``.  ``counts`` lists codes by the
-    block of their first occurrence, then by code, and ``probabilities``
-    follows that order: :func:`permz.ordinal.pattern_census` is the
-    one-block case of this rule.  All ``N - L + 1`` windows are coded
-    first, so the early exit decides how many are counted, not coded.
-    """
-    return _stabilized(window_codes(series, L), L)
-
-
-def _stabilized(codes: np.ndarray, L: int) -> PatternDistribution:
-    """:func:`stabilized_census` of these ``L``-window codes."""
-    return _census(codes, L, min(5 * math.factorial(L), codes.size))

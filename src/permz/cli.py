@@ -157,7 +157,7 @@ def _add_process_args(parser: argparse.ArgumentParser, require: bool = False):
     for name, kind in _PROCESS_PARAMS:
         parser.add_argument(f"--{name}", type=kind, default=None)
     parser.add_argument("--no-dither", action="store_true",
-                        help="disable the anti-cycling dither of map orbits")
+                        help="disable the anti-cycling dither (piecewise-linear only)")
 
 
 def _spec_from_args(args, default_length: int | None = None) -> ProcessSpec:

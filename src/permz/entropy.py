@@ -12,7 +12,7 @@ class              c       n       g(t)                 g^{-1}(s)
 exponential(c)     c > 0   0       c*t                  s/c
 factorial          1       1       t*ln(t)              exp(W(s))
 sub_factorial(c)   0<c<1   1       c*t*ln(t)            exp(W(s/c))
-sub_iterated_log   1       n >= 2  t*ln^(n)(t)          exp^(n)(W_n(s))
+sub_iterated_log   1       2..4    t*ln^(n)(t)          exp^(n)(W_n(s))
 =================  ======  ======  ===================  =================
 
 ``W = W_1`` is the principal real Lambert function (inverse of
@@ -218,8 +218,9 @@ class ComplexityClass:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, Integral) or self.n < 0:
-            raise ValidationError("class order n must be an integer >= 0")
+        # exp^(5)(0), the g^{-1}(0) of n = 5, overflows a double
+        if not isinstance(self.n, Integral) or not 0 <= self.n <= 4:
+            raise ValidationError("class order n must be an integer from 0 to 4")
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValidationError("class constant c must be finite and > 0")
         if self.c > 1 and self.n >= 1 or self.c != 1 and self.n >= 2:
@@ -242,7 +243,7 @@ class ComplexityClass:
     @classmethod
     def sub_iterated_log(cls, n: int) -> "ComplexityClass":
         if n < 2:  # (1, 0) and (1, 1) are the exponential and factorial classes
-            raise ValidationError("iterated-log class requires integer n >= 2")
+            raise ValidationError("iterated-log class requires integer 2 <= n <= 4")
         return cls(1.0, n)
 
     @classmethod

@@ -52,11 +52,11 @@ import numpy as np
 # ordinal's functions and renyi_entropy are looked up through their module at
 # call time, so a wrapper installed there (as tracing does) sees these calls
 from . import __version__, entropy, ordinal
-from .analysis import _stabilized, fit_decay, xp_allowed_count, xp_class_constant
-from .analysis import stabilized_census  # noqa: F401 -- perfbench traces this binding
+from .analysis import fit_decay, xp_allowed_count, xp_class_constant
 from .entropy import ComplexityClass, _check_alpha, z_topological
 from .entropy import z_entropy  # noqa: F401 -- perfbench traces this binding
 from .errors import DataError, PermzError, ValidationError
+from .ordinal import stabilized_census  # noqa: F401 -- perfbench traces this binding
 from .processes import (
     _PROC_SEED_STRIDE, ProcessSpec, _check_count, _check_seed, generate,
     realization_specs,
@@ -119,6 +119,8 @@ class ExperimentConfig:
         for name in ("orders", "alphas"):
             if not getattr(self, name):
                 raise ValidationError(f"{name} must not be empty")
+        for L in self.orders:
+            ordinal._check_order(L)
         for alpha in self.alphas:
             _check_alpha(alpha, positive=True)
 
@@ -221,7 +223,7 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
     ``(L, alpha)``, from the stabilized census or else every window's;
     alpha 0 gives the topological Z-entropy of the support (its
     ``math.log``, which can differ from R_0's ``np.log`` in the last bit)."""
-    count = _stabilized if stabilized else ordinal._census
+    count = partial(ordinal._census, stabilized=stabilized)
     coded = ordinal._codes_per_order(series, orders)
     out = {}
     # map holds no code array once it is counted
@@ -450,8 +452,6 @@ def run_experiment(
     if length is not None:  # table2 reads no series
         length = length if config.t_max is None else config.t_max
         if top is None:
-            for L in config.orders:
-                ordinal._check_order(L)
             top = max(config.orders)
         if length < top:
             raise ValidationError(f"{name} needs t_max >= {top}")

@@ -5,8 +5,9 @@ window positions sorted by value, ties broken so that the earlier entry
 counts as smaller.  Rank vectors are permutations of ``0..L-1`` and are
 keyed by their Lehmer code, an integer in ``[0, L!)``.
 
-All censuses slide a stride-1 window over the series, so a series of
-length ``N`` yields ``N - L + 1`` windows, all counted by ``_census``.
+Every census lives here: each slides a stride-1 window over the series
+(``N - L + 1`` windows from a series of length ``N``) and counts them by
+the one census rule, ``_census``, which owns block size, stop and order.
 Codes come from running sums of comparisons over the lags (``_lag_sums``),
 built once per series up to its largest order: ``_codes_per_order`` serves
 every order of a series from one pass, and ``window_codes`` is its
@@ -86,6 +87,7 @@ class PatternDistribution:
     support_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_order(self.order)  # the orders whose codes fit int64
         if self.total_windows <= 0:
             raise DataError("census with no windows")
         n = len(self.counts)  # at most L! when every code is in range
@@ -249,16 +251,17 @@ def _columns(codes: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(codes, return_inverse=True)
 
 
-def _census(codes: np.ndarray, L: int, block: int | None = None) -> PatternDistribution:
-    """The census rule: count in blocks with the stop rule and dict order
-    of :func:`permz.analysis.stabilized_census`; one block (the default)
-    counts all."""
+def _census(codes: np.ndarray, L: int, stabilized: bool = False) -> PatternDistribution:
+    """The census rule of :func:`stabilized_census` (blocks of ``5 * L!``
+    windows) or of :func:`pattern_census` (one block) for these codes."""
     n = codes.size
-    block = n if block is None else block
+    block = 5 * factorial(L) if stabilized else n
     keys, col = _columns(codes, L)
     m = keys.size
     n_blocks = -(-n // block)
-    cell = np.arange(n) // block * m + col  # row-major (block, column) cells
+    # row-major (block, column) cells; a lone block needs no block index,
+    # and its size may not fit int64 (5 * 20! does not)
+    cell = col if n_blocks == 1 else np.arange(n) // block * m + col
     cum = np.bincount(cell, minlength=n_blocks * m).reshape(n_blocks, m)
     cum = cum.cumsum(axis=0)
     used = cum.sum(axis=1)
@@ -278,6 +281,21 @@ def pattern_census(series, L: int) -> PatternDistribution:
     """Count the ordinal patterns of all stride-1 windows, in code
     order: the one-block case of the census rule."""
     return _census(window_codes(series, L), L)
+
+
+def stabilized_census(series, L: int) -> PatternDistribution:
+    """Census that stops once the pattern distribution stabilizes.
+
+    Windows are counted in blocks of ``5 * L!``.  The census stops at the
+    first block after which no pattern's running probability moved by
+    more than ``1e-4``, otherwise at the end of the series; the consumed
+    window count is ``total_windows``.  ``counts`` lists codes by the
+    block of their first occurrence, then by code, and ``probabilities``
+    follows that order: :func:`pattern_census` is the one-block case of
+    this rule.  All ``N - L + 1`` windows are coded first, so the early
+    exit decides how many are counted, not coded.
+    """
+    return _census(window_codes(series, L), L, stabilized=True)
 
 
 def visible_curve(series, L: int) -> np.ndarray:

@@ -98,7 +98,8 @@ class ProcessSpec:
     """Full description of one generator run.
 
     Only the fields relevant to ``kind`` may be set; the rest must stay
-    ``None`` so that a spec serializes without ambiguity.
+    ``None`` (``dither`` stays ``True``: only ``piecewise-linear`` is
+    dithered) so that a spec serializes without ambiguity.
     """
 
     kind: str
@@ -127,14 +128,15 @@ class ProcessSpec:
             "noisy-logistic": {"amplitude", "x0"},
             "noisy-schuster": {"amplitude", "x0"},
             "xp": {"period", "delta", "noiseless_residues"},
-            "piecewise-linear": {"sigma", "x0"},
+            "piecewise-linear": {"sigma", "x0", "dither"},
             "logistic": {"x0"},
             "shift": set(),
         }[self.kind]
         for field in ("hurst", "amplitude", "x0", "period", "delta",
-                      "noiseless_residues", "sigma"):
+                      "noiseless_residues", "sigma", "dither"):
             value = getattr(self, field)
-            if field not in allowed and value is not None:
+            unset = True if field == "dither" else None  # the default
+            if field not in allowed and value is not unset:
                 raise ValidationError(
                     f"parameter {field!r} does not apply to kind {self.kind!r}"
                 )

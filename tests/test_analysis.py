@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,29 @@ def test_xp_analytics_normalized_and_equal_to_expanded_renyi(p, extra, alpha):
     # summation order differs; |1 - alpha| >= 1e-3 bounds the amplification
     assert d.renyi(alpha) == pytest.approx(renyi_entropy(expanded, alpha),
                                            rel=1e-10, abs=1e-10)
+
+
+def decimal_xp_renyi(d, alpha: float) -> float:
+    """Renyi entropy of the two-level distribution in 80-digit decimal:
+    the reference for ``XpAnalytics.renyi`` at any order."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        groups = [(n, Decimal(q.numerator) / q.denominator)
+                  for n, q in ((d.N1, d.P1), (d.N2, d.P2)) if n]
+        if alpha == 1.0:
+            return float(-sum(n * q * q.ln() for n, q in groups))
+        a = Decimal(alpha)
+        return float(sum(n * (a * q.ln()).exp() for n, q in groups).ln() / (1 - a))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("L", [7, 29, 147, 149, 151, 205, 257, 341, 400, 1000])
+def test_xp_renyi_equals_a_decimal_reference_at_any_order(p, L):
+    # float probabilities lose digits from L ~ 140 at p = 2, and underflow
+    # to a domain or overflow error further on
+    d = xp_distribution(p, L)
+    for alpha in (0.5, 1.0, 1.5, 2.0, 3.0):
+        assert d.renyi(alpha) == pytest.approx(decimal_xp_renyi(d, alpha), rel=2e-15)
 
 
 def test_xp_class_constants():

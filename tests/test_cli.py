@@ -504,6 +504,8 @@ def test_experiment_fig1_takes_orders(tmp_path):
     (("experiment", "fig1", "--alpha", ""), "alpha"),
     (("decay", "--order", "1"), "--order"),
     (("census", "--order", "21"), "--order"),
+    (("entropy", "--class", "subn:5"), "from 0 to 4"),
+    (("generate", "--no-dither"), "'dither' does not apply to kind 'white-noise'"),
 ])
 def test_bad_parameter_exits_2_before_any_series_is_generated(
         argv, named, monkeypatch, tmp_path, capsys):
@@ -526,6 +528,17 @@ def test_xp_orders_are_not_bounded_by_the_code_width():
     assert code == 0
     _, rows = read_csv_text(out)
     assert [int(row[1]) for row in rows] == [20, 21, 22]
+
+
+@pytest.mark.parametrize("period, L", [(2, 341), (3, 400)])
+def test_xp_entropies_stay_finite_where_the_probabilities_underflow(period, L):
+    # N1 is beyond the largest double here and P1 below the smallest normal one
+    code, out = run_cli("xp", "--period", str(period), "--orders", str(L))
+    assert code == 0
+    header, (row,) = read_csv_text(out)
+    renyi = [float(row[header.index(f"R_a{a}")]) for a in ("0.5", "1", "1.5")]
+    assert all(math.isfinite(r) for r in renyi)
+    assert renyi[0] >= renyi[1] >= renyi[2] > 0
 
 
 def _unwritable(tmp_path, kind):

@@ -185,6 +185,10 @@ def test_iterated_log_class_matches_the_family_oracle(n, s):
     pytest.param(lambda: ComplexityClass.sub_iterated_log(0), id="subn-0"),
     pytest.param(lambda: ComplexityClass.parse("subn:1"), id="subn:1"),
     pytest.param(lambda: ComplexityClass.parse("sub:1"), id="sub:1"),
+    # exp^(5)(0), the inverse at 0 of n = 5, overflows a double
+    pytest.param(lambda: ComplexityClass.parse("subn:5"), id="subn:5"),
+    pytest.param(lambda: ComplexityClass.sub_iterated_log(5), id="subn-5"),
+    pytest.param(lambda: ComplexityClass(1.0, 5), id="class-1-5"),
     pytest.param(lambda: renyi_entropy([0.5, 0.5], math.nan), id="renyi-nan"),
     pytest.param(lambda: renyi_entropy([0.5, 0.5], math.inf), id="renyi-inf"),
     pytest.param(lambda: z_entropy([0.5, 0.5], ComplexityClass.factorial(), math.nan),

@@ -69,9 +69,9 @@ def test_run_ensemble_wraps_foreign_errors(jobs):
 
 
 def test_experiment_order_error_keeps_its_class():
-    config = ExperimentConfig(orders=(1,), realizations=1, t_max=100)
-    with pytest.raises(ValidationError, match="at least 2"):
-        run_experiment("fig1", config)
+    with pytest.raises(ValidationError, match="at least 2"):  # from the config
+        run_experiment("fig1", ExperimentConfig(orders=(1,), realizations=1,
+                                                t_max=100))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -107,6 +107,18 @@ def test_fig1_orders_are_checked_before_any_series(monkeypatch):
                         lambda spec: calls.append(spec) or np.zeros(spec.length))
     with pytest.raises(ValidationError, match="at least 2, at most 20"):
         run_experiment("fig1", ExperimentConfig(orders=(3, 21), realizations=2,
+                                                t_max=100))
+    assert calls == []
+
+
+@pytest.mark.parametrize("orders", [(1,), (2.5,), (3, 21)])
+def test_orders_are_checked_where_the_config_is_made(orders, monkeypatch):
+    # fig2 counts at L = 6 only, so it would run past a bad order unread
+    calls = []
+    monkeypatch.setattr("permz.experiments.generate",
+                        lambda spec: calls.append(spec) or np.zeros(spec.length))
+    with pytest.raises(ValidationError, match="at least 2, at most 20"):
+        run_experiment("fig2", ExperimentConfig(orders=orders, realizations=2,
                                                 t_max=100))
     assert calls == []
 

@@ -150,6 +150,10 @@ def test_pattern_distribution_invariants():
     # a code beyond int64 is out of range for every order a census takes
     with pytest.raises(ValidationError):
         PatternDistribution(order=3, counts={2**70: 1}, total_windows=1)
+    # so is an order outside 2..20, or one that is not an integer
+    for order in (0, 1, 21, 25, 2.5, -1):
+        with pytest.raises(ValidationError, match="order L"):
+            PatternDistribution(order=order, counts={0: 1}, total_windows=1)
     # a zero count is kept in ``counts`` but is not in the support
     dist = PatternDistribution(order=3, counts={0: 3, 1: 0}, total_windows=3)
     assert dist.support_size == 1
@@ -209,6 +213,10 @@ def test_window_codes_order_bound():
     assert window_codes(np.arange(20.0)[::-1], 20).tolist() == [
         math.factorial(20) - 1
     ]
+    # the census block, 5 * 20! windows, is beyond int64 too
+    assert stabilized_census(np.arange(20.0)[::-1], 20).counts == {
+        math.factorial(20) - 1: 1
+    }
     with pytest.raises(ValidationError):
         window_codes(np.arange(21.0)[::-1], 21)
     # the order is an integer (numpy integers too), never a float

@@ -270,6 +270,21 @@ def test_piecewise_linear_stays_in_unit_interval():
     assert np.sort(mismatch)[-10] < 1e-10  # only dither steps may differ
 
 
+def test_dither_is_an_option_of_piecewise_linear_only():
+    # no other kind is dithered, so dither=False would change nothing there
+    for kind, extra in (("white-noise", {}), ("fbm", {"hurst": 0.6}),
+                        ("noisy-logistic", {}), ("xp", {"period": 2}),
+                        ("logistic", {}), ("shift", {})):
+        with pytest.raises(ValidationError, match="'dither' does not apply"):
+            ProcessSpec(kind, length=5, dither=False, **extra)
+    spec = ProcessSpec("piecewise-linear", length=25_000, seed=3, sigma=3.7,
+                       x0=0.3, dither=False)
+    plain = generate(spec)
+    assert plain.tobytes() == map_orbit(spec, 0.3, spec.length).tobytes()
+    dithered = generate(replace(spec, dither=True))  # kicked every 10 000 steps
+    assert not np.array_equal(plain[10_000:], dithered[10_000:])
+
+
 def test_piecewise_linear_exponential_pattern_growth():
     sigma = 2.5
     x = generate(ProcessSpec("piecewise-linear", length=200_000, seed=1, sigma=sigma))
