@@ -17,7 +17,7 @@ from itertools import chain, permutations, product
 
 import numpy as np
 
-from .entropy import _check_alpha, _fit_points, _is_shannon
+from .entropy import ComplexityClass, _check_alpha, _fit_points, _is_shannon, _line_fit
 from .errors import DataError, ValidationError
 from .ordinal import OrdinalPattern, _check_order, stabilized_census, window_codes
 from .processes import (
@@ -80,13 +80,6 @@ def _decay_points(missing, L: int) -> tuple[np.ndarray, np.ndarray]:
     return L + np.arange(k, dtype=np.float64), m[:k]
 
 
-def _stretched_residual(t, y, beta):
-    design = np.column_stack([np.ones_like(t), -(t**beta)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    rms = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
-    return rms, float(coef[1]), float(coef[0])
-
-
 def fit_decay(missing, L: int, model: str = "exponential",
               fix_intercept: bool = True) -> DecayFit:
     """Fit the decay law of missing ``L``-patterns versus series length.
@@ -96,9 +89,10 @@ def fit_decay(missing, L: int, model: str = "exponential",
     ensemble mean of such curves.  The fit uses the prefix before the
     first ``M < 1``.  The exponential model fits ``ln M`` against
     ``T - L`` with the intercept pinned to ``ln(L! - 1)`` -- the exact
-    value at ``T = L`` -- unless ``fix_intercept=False``.  The
-    stretched model scans the exponent ``beta`` over a coarse grid and
-    refines the best cell by golden-section search.
+    value at ``T = L`` -- unless ``fix_intercept=False``;
+    ``fix_intercept`` applies to this model only.  The stretched model,
+    whose intercept is always fitted, scans the exponent ``beta`` over a
+    coarse grid and refines the best cell by golden-section search.
     """
     if model not in ("exponential", "stretched"):
         raise ValidationError("model must be 'exponential' or 'stretched'")
@@ -106,39 +100,35 @@ def fit_decay(missing, L: int, model: str = "exponential",
     t, m = _decay_points(missing, L)
     y = np.log(m)
 
-    if model == "exponential":
-        x = t - L
-        if fix_intercept:
-            intercept = math.log(math.factorial(L) - 1)
-            rate = float(np.sum(x * (intercept - y)) / np.sum(x * x))
-            residual = float(np.sqrt(np.mean((y - (intercept - rate * x)) ** 2)))
-        else:  # the stretched model's least squares at beta = 1
-            residual, rate, intercept = _stretched_residual(x, y, 1.0)
+    if model == "exponential":  # ln M = ln(L! - 1) - R * (T - L)
+        pinned = math.log(math.factorial(L) - 1) if fix_intercept else None
+        intercept, rate, residual = _line_fit(L - t, y, pinned)
         beta, ln_c = 1.0, intercept + rate * L  # ln M = ln C - R * T
     else:
-        grid = np.arange(0.05, 1.0001, 0.05)
-        scored = [(beta, *_stretched_residual(t, y, beta)) for beta in grid]
-        best = min(scored, key=lambda s: s[1])
-        a = max(0.01, best[0] - 0.05)
-        b = min(1.0, best[0] + 0.05)
+        def rms(beta):
+            return _line_fit(-(t**beta), y)[2]
+
+        best = min(np.arange(0.05, 1.0001, 0.05), key=rms)
+        a = max(0.01, best - 0.05)
+        b = min(1.0, best + 0.05)
         phi = (math.sqrt(5.0) - 1.0) / 2.0
         c_pt = b - phi * (b - a)
         d_pt = a + phi * (b - a)
-        fc = _stretched_residual(t, y, c_pt)[0]
-        fd = _stretched_residual(t, y, d_pt)[0]
+        fc = rms(c_pt)
+        fd = rms(d_pt)
         for _ in range(60):
             if fc <= fd:
                 b, d_pt, fd = d_pt, c_pt, fc
                 c_pt = b - phi * (b - a)
-                fc = _stretched_residual(t, y, c_pt)[0]
+                fc = rms(c_pt)
             else:
                 a, c_pt, fc = c_pt, d_pt, fd
                 d_pt = a + phi * (b - a)
-                fd = _stretched_residual(t, y, d_pt)[0]
+                fd = rms(d_pt)
             if b - a < 1e-6:
                 break
         beta = 0.5 * (a + b)
-        residual, rate, ln_c = _stretched_residual(t, y, beta)
+        ln_c, rate, residual = _line_fit(-(t**beta), y)
     if rate <= 0.0:
         raise DataError("no decay detected: fitted rate is not positive")
     return DecayFit(
@@ -309,15 +299,11 @@ def estimate_class_constant(counts, family: str) -> ClassConstantFit:
     pts = _fit_points(counts, "allowed counts")
     if any(a < 1 for _, a in pts):
         raise ValidationError("allowed counts must be at least 1")
-    x = np.array(
-        [L if family == "exponential" else L * math.log(L) for L, _ in pts]
-    )
+    law = ComplexityClass(1.0, 0 if family == "exponential" else 1)
+    x = np.array([law.growth(L) for L, _ in pts])
     y = np.array([math.log(a) for _, a in pts])
-    if np.all(y == 0.0):
-        return ClassConstantFit(c=0.0, residual=0.0, degenerate=True)
-    c_hat = float(np.sum(x * y) / np.sum(x * x))
-    residual = float(np.sqrt(np.mean((y - c_hat * x) ** 2)))
-    return ClassConstantFit(c=c_hat, residual=residual, degenerate=False)
+    _, c_hat, residual = _line_fit(x, y, 0.0)
+    return ClassConstantFit(c=c_hat, residual=residual, degenerate=not np.any(y))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, ordinal
 from .analysis import fit_decay, xp_distribution
-from .entropy import ComplexityClass, _check_alpha
+from .entropy import ComplexityClass, _check_alpha, _check_alpha_labels
 from .errors import DataError, PermzError, ValidationError
 from .experiments import (
     EXPERIMENTS, ExperimentConfig, entropy_cells, missing_curves, read_text,
@@ -111,8 +111,10 @@ def _parse_orders(text: str, hi=ordinal._MAX_ORDER) -> tuple[int, ...]:
     text = text.strip()
     try:
         if ":" in text:
-            first, last = text.split(":", 1)
-            orders = tuple(range(int(first), int(last) + 1))
+            first, last = (int(tok) for tok in text.split(":", 1))
+            for L in (first, last):  # before the range is built
+                ordinal._check_order(L, hi)
+            orders = tuple(range(first, last + 1))
         else:
             orders = tuple(int(tok) for tok in text.split(","))
         if not orders:
@@ -139,7 +141,7 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
         alphas = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValidationError(f"bad alpha list {text!r}") from None
-    return tuple(_check_alpha(a) for a in alphas)
+    return _check_alpha_labels(_check_alpha(a) for a in alphas)
 
 
 # the generator parameters a spec takes from options of the same name
@@ -272,6 +274,8 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_decay(args) -> int:
     L = _check_order_option(args.order)
+    if args.free_intercept and args.model != "exponential":
+        raise ValidationError("--free-intercept applies to the exponential model only")
     label, sources = _load_sources(args, 7_000, 35)
     members = run_ensemble(partial(missing_curves, orders=(L,)), sources,
                            args.jobs, label)

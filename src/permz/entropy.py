@@ -280,9 +280,12 @@ class ComplexityClass:
         ``exp^(n)(W_n(s / c))`` for ``n >= 1``."""
         if s < 0:
             raise ValidationError("inverse growth is only used for s >= 0")
+        scaled = s / self.c
+        if math.isinf(scaled):
+            raise NumericalError(f"class {self.token()}: s / c overflows at s = {s!r}")
         if not self.n:
-            return s / self.c
-        return exp_iterated(lambert_n(s / self.c, self.n), self.n)
+            return scaled
+        return exp_iterated(lambert_n(scaled, self.n), self.n)
 
     @property
     def inverse_zero(self) -> float:
@@ -324,6 +327,17 @@ def _check_alpha(alpha, positive: bool = False) -> float:
     return alpha
 
 
+def _check_alpha_labels(alphas) -> tuple[float, ...]:
+    """The label guard: tables, file names and summary keys name an alpha
+    by ``f"{alpha:g}"``, so different alphas may not share a label (one
+    alpha given twice may); returns the alphas."""
+    alphas = tuple(alphas)
+    distinct = set(alphas)
+    if len({f"{a:g}" for a in distinct}) < len(distinct):
+        raise ValidationError(f"different alphas share a :g label in {list(alphas)}")
+    return alphas
+
+
 def _is_shannon(alpha: float) -> bool:
     return abs(alpha - 1.0) < 1e-8  # the Shannon limit of the Renyi family
 
@@ -333,7 +347,9 @@ def renyi_entropy(dist, alpha: float) -> float:
 
     ``alpha = 0`` gives the log support size, ``alpha = 1`` (within
     1e-8) the Shannon entropy, otherwise
-    ``(1 - alpha)^{-1} * ln(sum p_i^alpha)``.
+    ``(1 - alpha)^{-1} * ln(sum p_i^alpha)``.  A sum below the smallest
+    normal double is taken in log space, ``alpha*m + ln sum
+    exp(alpha*(ln p_i - m))`` with ``m = max ln p_i``, and stays finite.
     """
     alpha = _check_alpha(alpha)
     p = _as_probabilities(dist)
@@ -342,7 +358,12 @@ def renyi_entropy(dist, alpha: float) -> float:
         return float(np.log(support.size))
     if _is_shannon(alpha):
         return float(-np.sum(support * np.log(support)))
-    return float(np.log(np.sum(support**alpha)) / (1.0 - alpha))
+    total = np.sum(support**alpha)
+    if total >= sys.float_info.min:
+        return float(np.log(total) / (1.0 - alpha))
+    ln_p = np.log(support)
+    m = ln_p.max()
+    return float(-m + (m + np.log(np.sum(np.exp(alpha * (ln_p - m))))) / (1.0 - alpha))
 
 
 def z_entropy(dist, complexity_class: ComplexityClass, alpha: float) -> float:
@@ -381,6 +402,21 @@ def _fit_points(pairs, what: str) -> list[tuple[int, float]]:
     return points
 
 
+def _line_fit(x, y, intercept=None) -> tuple[float, float, float]:
+    """Least-squares line ``y ~ a + b*x``: ``(a, b, rms residual)``, with
+    ``a`` free or held at ``intercept``."""
+    if intercept is None:
+        design = np.column_stack([np.ones_like(x), x])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        a, b = coef
+        residual = y - design @ coef
+    else:
+        a = intercept
+        b = np.sum(x * (y - a)) / np.sum(x * x)
+        residual = y - (a + b * x)
+    return float(a), float(b), float(np.sqrt(np.mean(residual**2)))
+
+
 def entropy_rate_estimate(pairs) -> RateFit:
     """Extrapolate per-symbol entropy to ``1/L -> 0``.
 
@@ -392,8 +428,4 @@ def entropy_rate_estimate(pairs) -> RateFit:
     data = _fit_points(pairs, "Z/L values")
     x = np.array([1.0 / L for L, _ in data])
     y = np.array([float(v) for _, v in data])
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
-    return RateFit(intercept=float(coef[0]), slope=float(coef[1]), residual=residual)
+    return RateFit(*_line_fit(x, y))

@@ -53,7 +53,9 @@ import numpy as np
 # call time, so a wrapper installed there (as tracing does) sees these calls
 from . import __version__, entropy, ordinal
 from .analysis import fit_decay, xp_allowed_count, xp_class_constant
-from .entropy import ComplexityClass, _check_alpha, z_topological
+from .entropy import (
+    ComplexityClass, _check_alpha, _check_alpha_labels, z_topological,
+)
 from .entropy import z_entropy  # noqa: F401 -- perfbench traces this binding
 from .errors import DataError, PermzError, ValidationError
 from .ordinal import stabilized_census  # noqa: F401 -- perfbench traces this binding
@@ -123,6 +125,7 @@ class ExperimentConfig:
             ordinal._check_order(L)
         for alpha in self.alphas:
             _check_alpha(alpha, positive=True)
+        _check_alpha_labels(self.alphas)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import permz
-from permz.cli import main, read_series, write_series
-from permz.errors import DataError
+from permz.cli import _parse_orders, main, read_series, write_series
+from permz.errors import DataError, ValidationError
 
 
 def run_cli(*argv):
@@ -521,6 +522,70 @@ def test_bad_parameter_exits_2_before_any_series_is_generated(
     assert code == 2 and out == ""
     assert named in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_entropy_at_large_alpha_exits_0():
+    # every p**alpha underflows: was "lambert_n argument must be finite", exit 2
+    code, out = run_cli("entropy", "--process", "white-noise", "--length", "3000",
+                        "--orders", "5", "--alpha", "300,1000")
+    assert code == 0
+    header, rows = read_csv_text(out)
+    renyi = [float(row[header.index("renyi")]) for row in rows]
+    assert len(renyi) == 2 and all(4.3 < r < math.log(120) for r in renyi)
+
+
+@pytest.mark.parametrize("token, shown", [
+    ("exp:1e-310", "exp:1e-310"),  # printed inf for z and z_over_L, exit 0
+    ("sub:1e-320", "sub:9.99989e-321"),  # "lambert_n argument must be finite", exit 2
+])
+def test_class_constant_too_small_for_a_double_exits_4(token, shown, capsys):
+    code, out = run_cli("entropy", "--process", "white-noise", "--length", "300",
+                        "--orders", "4", "--class", token)
+    assert code == 4 and out == ""
+    assert f"class {shown}: s / c overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("xp", "--period", "2", "--orders", "4"),
+    ("experiment", "fig1", "--realizations", "1", "--t-max", "100"),
+])
+def test_alphas_sharing_a_label_exit_2(argv, tmp_path, capsys):
+    # xp printed the header R_a1,R_a1
+    out_dir = ("--output-dir", str(tmp_path)) if argv[0] == "experiment" else ()
+    code, out = run_cli(*argv, *out_dir, "--alpha", "1.00000001,1.0000001")
+    assert code == 2 and out == ""
+    assert "share a :g label" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    code, out = run_cli("xp", "--period", "2", "--orders", "4", "--alpha", "1,1.0")
+    assert code == 0 and read_csv_text(out)[0][-2:] == ["R_a1", "R_a1"]
+
+
+def test_order_range_ends_are_checked_before_the_range_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="at most 20"):
+            _parse_orders("3:2000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert _parse_orders("2:5") == (2, 3, 4, 5)
+    assert _parse_orders("3:5", hi=math.inf) == (3, 4, 5)
+
+
+@pytest.mark.parametrize("source", ["process", "input"])
+def test_free_intercept_with_the_stretched_model_exits_2_before_any_series(
+        source, monkeypatch, tmp_path, capsys):
+    calls = []
+    for name in ("permz.experiments.generate", "permz.cli.generate",
+                 "permz.cli.read_series"):
+        monkeypatch.setattr(name, calls.append)
+    where = (("--process", "white-noise", "--length", "500") if source == "process"
+             else ("--input", str(tmp_path / "series.txt")))
+    code, out = run_cli("decay", "--order", "4", "--model", "stretched",
+                        "--free-intercept", *where)
+    assert code == 2 and out == "" and calls == []
+    assert "exponential model only" in capsys.readouterr().err
 
 
 def test_xp_orders_are_not_bounded_by_the_code_width():

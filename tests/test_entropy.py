@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from class_oracle import ComplexityClass as OracleClass
 from permz.entropy import (
     ComplexityClass,
+    _check_alpha_labels,
     entropy_rate_estimate,
     exp_iterated,
     lambert_w,
@@ -16,7 +17,7 @@ from permz.entropy import (
     z_topological,
 )
 from permz.analysis import xp_distribution
-from permz.errors import DataError, ValidationError
+from permz.errors import DataError, NumericalError, ValidationError
 from permz.ordinal import pattern_census
 from permz.processes import ProcessSpec, generate
 
@@ -68,6 +69,41 @@ def test_renyi_validation():
         renyi_entropy([0.6, 0.5], 1.0)
     with pytest.raises(DataError):
         renyi_entropy([1.2, -0.2], 1.0)
+
+
+def _inline_renyi(p, alpha):
+    """The formula ``renyi_entropy`` used for every alpha > 0 off Shannon
+    before its large-alpha branch."""
+    support = p[p > 0.0]
+    return float(np.log(np.sum(support**alpha)) / (1.0 - alpha))
+
+
+def _assert_within_renyi_bounds(r, p):
+    # -ln max p <= R_alpha <= ln support, up to rounding
+    p = np.asarray(p)
+    lo, hi = -math.log(p.max()), math.log(np.count_nonzero(p))
+    assert math.isfinite(r)
+    assert lo - 1e-12 * max(1.0, lo) <= r <= hi + 1e-12 * max(1.0, hi)
+
+
+def test_renyi_stays_finite_where_every_power_underflows():
+    assert renyi_entropy([0.5, 0.5], 1100) == math.log(2)  # was inf
+    x = generate(ProcessSpec("white-noise", length=3_000, seed=0))
+    dist = pattern_census(x, 5)
+    for alpha in (300, 1000, 1e4):  # each was inf
+        _assert_within_renyi_bounds(renyi_entropy(dist, alpha), dist.probabilities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60).filter(
+           lambda w: sum(w) > 0),
+       alpha=st.one_of(st.floats(1.001, 1e4), st.floats(0.0, 0.999)))
+def test_renyi_is_bounded_at_any_alpha_and_keeps_its_normal_sums(weights, alpha):
+    p = np.array(weights) / np.sum(weights)
+    r = renyi_entropy(p, alpha)
+    _assert_within_renyi_bounds(r, p)
+    if alpha > 0 and np.sum(p[p > 0]**alpha) >= np.finfo(float).tiny:
+        assert struct.pack("<d", r) == struct.pack("<d", _inline_renyi(p, alpha))
 
 
 def test_renyi_accepts_pattern_distribution():
@@ -157,7 +193,10 @@ def test_class_matches_the_family_oracle_bit_for_bit(name, args, s):
     for method in ("growth", "inverse"):
         want, want_error = _outcome(getattr(old, method), s)
         got, got_error = _outcome(getattr(new, method), s)
-        if want_error is None:
+        if method == "inverse" and math.isinf(s / new.c):
+            # the oracle returned inf (n = 0) or failed in lambert_n (n = 1)
+            assert got_error is NumericalError
+        elif want_error is None:
             assert got_error is None
             assert struct.pack("<d", got) == struct.pack("<d", want)
         else:  # growth(0) of the log laws: a bare ValueError in the oracle
@@ -201,6 +240,23 @@ def test_iterated_log_class_matches_the_family_oracle(n, s):
 def test_out_of_domain_class_or_alpha_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("cls, token", [
+    (ComplexityClass.exponential(1e-310), "exp:1e-310"),  # z was inf
+    (ComplexityClass.sub_factorial(1e-320), "sub:9.99989e-321"),
+])
+def test_class_constant_too_small_for_a_double_raises_numerical_error(cls, token):
+    with pytest.raises(NumericalError, match=f"class {token}: s / c overflows"):
+        cls.z(1.0)
+    assert cls.z(0.0) == 0.0
+
+
+def test_distinct_alphas_need_distinct_labels():
+    assert _check_alpha_labels([1, 1.0, 0.5, 1]) == (1, 1.0, 0.5, 1)
+    for alphas in ([1.0000001, 1.0000002], [0.5, 1.00000001, 1.0]):
+        with pytest.raises(ValidationError, match="share a :g label"):
+            _check_alpha_labels(alphas)
 
 
 # -- Z-entropies ------------------------------------------------------------

@@ -101,6 +101,18 @@ def test_t_max_below_the_largest_order_is_rejected_before_any_series(
     assert calls == []
 
 
+def test_alphas_sharing_a_label_are_rejected_before_any_series(monkeypatch):
+    # both alphas print as "1": one fig1_alpha1.csv and 7 of 14 summary curves
+    calls = []
+    monkeypatch.setattr("permz.experiments.generate",
+                        lambda spec: calls.append(spec) or np.zeros(spec.length))
+    with pytest.raises(ValidationError, match="share a :g label"):
+        run_experiment("fig1", ExperimentConfig(alphas=(1.0000001, 1.0000002),
+                                                realizations=1, t_max=100))
+    assert calls == []
+    assert ExperimentConfig(alphas=(1.5, 1, 1.0)).alphas == (1.5, 1, 1.0)
+
+
 def test_fig1_orders_are_checked_before_any_series(monkeypatch):
     calls = []
     monkeypatch.setattr("permz.experiments.generate",

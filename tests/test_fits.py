@@ -1,0 +1,122 @@
+"""Least-squares fits behind the decay, entropy-rate and class-constant
+estimators.
+
+``test_fit_results_are_pinned`` digests the ``repr`` of every result over a
+seeded grid of synthetic inputs: ``fit_decay`` in its three model settings,
+``entropy_rate_estimate`` and ``estimate_class_constant`` for both families
+plus an all-ones set, whose fit is degenerate.  The digest was captured while each estimator still
+wrote its own least-squares formula, so any change of a fitted value, down
+to the last bit, fails here.  A fit that raises is recorded by its error.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from permz.analysis import estimate_class_constant, fit_decay
+from permz.entropy import _line_fit, entropy_rate_estimate
+from permz.errors import PermzError
+from permz.rng import Stream
+
+FIT_DIGEST = "fe7ca2455543a839bdc01f8db87b2ead36438ea1b69a6d9c819ced046cca82a8"
+
+
+def _attempt(fit, *args, **kwargs) -> str:
+    try:
+        return repr(fit(*args, **kwargs))
+    except (PermzError, OverflowError) as exc:
+        # two short stretched fits overflow ``exp(ln C)`` with a bare OverflowError
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _decay_curve(stream: Stream, L: int) -> np.ndarray:
+    n = 20 + int(stream.uniforms(1)[0] * 180)
+    beta = 0.3 + 0.7 * stream.uniforms(1)[0]
+    reach = 0.5 + 1.5 * stream.uniforms(1)[0]  # ln M falls by ~reach * ln(L!-1)
+    top = math.log(math.factorial(L) - 1)
+    x = np.arange(n, dtype=np.float64)
+    ln_m = top - reach * top * (x / n) ** beta + 0.2 * stream.gaussians(n)
+    return np.exp(ln_m)
+
+
+def _fit_results() -> list[str]:
+    out = []
+    for k in range(200):
+        stream = Stream(7_000 + k)
+        L = 3 + k % 5
+        curve = _decay_curve(stream, L)
+        out.append(_attempt(fit_decay, curve, L))
+        out.append(_attempt(fit_decay, curve, L, fix_intercept=False))
+        out.append(_attempt(fit_decay, curve, L, model="stretched"))
+    for k in range(150):
+        stream = Stream(8_000 + k)
+        orders = range(2 + k % 4, 8 + k % 13)
+        a, b = stream.uniforms(2)
+        noise = 0.01 * stream.gaussians(len(orders))
+        out.append(_attempt(entropy_rate_estimate, [
+            (L, 2.0 * a + (b - 0.5) / L + e) for L, e in zip(orders, noise)
+        ]))
+    for k in range(150):
+        stream = Stream(9_000 + k)
+        orders = range(2 + k % 3, 9 + k % 11)
+        c = 0.05 + 0.9 * stream.uniforms(1)[0]
+        noise = 1.0 + 0.05 * stream.gaussians(len(orders))
+        for family, g in (("exponential", float),
+                          ("sub_linear_log", lambda L: L * math.log(L))):
+            counts = [(L, max(1, round(math.exp(c * g(L) * e))))
+                      for L, e in zip(orders, noise)]
+            out.append(_attempt(estimate_class_constant, counts, family))
+    out.append(_attempt(estimate_class_constant,
+                        [(L, 1) for L in range(3, 9)], "sub_linear_log"))
+    return out
+
+
+def test_fit_results_are_pinned():
+    results = _fit_results()
+    assert len(results) == 3 * 200 + 150 + 2 * 150 + 1
+    assert sum("Error" in r for r in results) < len(results) // 4
+    digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
+    assert digest == FIT_DIGEST
+
+
+# -- the one line fit against the formulas it replaced -------------------------
+
+def _pinned_decay(x, y, intercept):
+    """``fit_decay``'s exponential model with its intercept pinned."""
+    rate = float(np.sum(x * (intercept - y)) / np.sum(x * x))
+    residual = float(np.sqrt(np.mean((y - (intercept - rate * x)) ** 2)))
+    return intercept, rate, residual
+
+
+def _free_line(x, y):
+    """The least-squares line of ``entropy_rate_estimate`` and of the
+    stretched model (with ``-t**beta`` for ``x``)."""
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    residual = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
+    return float(coef[0]), float(coef[1]), residual
+
+
+def _through_origin(x, y):
+    """``estimate_class_constant``'s fit of ``y = c x``."""
+    c_hat = float(np.sum(x * y) / np.sum(x * x))
+    return 0.0, c_hat, float(np.sqrt(np.mean((y - c_hat * x) ** 2)))
+
+
+_VALUES = st.floats(-50.0, 50.0)
+# abscissae as the estimators pass them: T - L, 1/L and g(L) are 0 or >= 1/20
+_ABSCISSAE = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(_ABSCISSAE, _VALUES), min_size=2,
+                       max_size=40).filter(lambda ps: any(x for x, _ in ps)),
+       intercept=_VALUES)
+def test_line_fit_is_the_inline_formulas_bit_for_bit(points, intercept):
+    x, y = (np.array(column) for column in zip(*points))
+    assert _line_fit(-x, y, intercept) == _pinned_decay(x, y, intercept)
+    assert _line_fit(x, y) == _free_line(x, y)
+    assert _line_fit(-x, y) == _free_line(-x, y)
+    assert _line_fit(x, y, 0.0) == _through_origin(x, y)
