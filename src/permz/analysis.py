@@ -17,8 +17,9 @@ from itertools import chain, permutations, product
 
 import numpy as np
 
-from .entropy import ComplexityClass, _check_alpha, _fit_points, _is_shannon, _line_fit
-from .errors import DataError, ValidationError
+from .entropy import ComplexityClass, _check_alpha, _fit_points, _line_fit
+from .entropy import _is_near_shannon, _near_shannon
+from .errors import DataError, NumericalError, ValidationError
 from .ordinal import OrdinalPattern, _check_order, stabilized_census, window_codes
 from .processes import (
     ProcessSpec, _check_count, _check_period, _check_residues, dither_kicks,
@@ -131,9 +132,13 @@ def fit_decay(missing, L: int, model: str = "exponential",
         ln_c, rate, residual = _line_fit(-(t**beta), y)
     if rate <= 0.0:
         raise DataError("no decay detected: fitted rate is not positive")
+    try:
+        c = math.exp(ln_c)
+    except OverflowError:
+        raise NumericalError(f"exp overflows at the fitted ln C = {ln_c!r}") from None
     return DecayFit(
         R=rate,
-        C=math.exp(ln_c),
+        C=c,
         beta=float(beta),
         model=model,
         fit_range=(float(t[0]), float(t[-1])),
@@ -215,8 +220,8 @@ class XpAnalytics:
             return math.log(self.N1)
         masses = (self.N1 * self.P1, self.N2 * self.P2)
         ln_p = (_ln(self.P1), _ln(self.P2))
-        if _is_shannon(alpha):
-            return -sum(float(m) * lp for m, lp in zip(masses, ln_p))
+        if _is_near_shannon(alpha, min(ln_p)):
+            return _near_shannon([float(m) for m in masses], ln_p, alpha)
         # ln(N_i * P_i**alpha) = ln(N_i * P_i) + (alpha - 1) * ln P_i
         lo, hi = sorted(_ln(m) + (alpha - 1.0) * lp for m, lp in zip(masses, ln_p))
         return (hi + math.log1p(math.exp(lo - hi))) / (1.0 - alpha)

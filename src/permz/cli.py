@@ -27,8 +27,8 @@ from .analysis import fit_decay, xp_distribution
 from .entropy import ComplexityClass, _check_alpha, _check_alpha_labels
 from .errors import DataError, PermzError, ValidationError
 from .experiments import (
-    EXPERIMENTS, ExperimentConfig, entropy_cells, missing_curves, read_text,
-    render_table, run_ensemble, run_experiment, write_text,
+    EXPERIMENTS, ExperimentConfig, entropy_cells, mean_curve, missing_curves,
+    read_text, render_table, run_ensemble, run_experiment, write_text,
 )
 from .ordinal import lehmer_decode, pattern_census, visible_curve
 from .processes import KINDS, ProcessSpec, generate, realization_specs
@@ -279,18 +279,13 @@ def _cmd_decay(args) -> int:
     label, sources = _load_sources(args, 7_000, 35)
     members = run_ensemble(partial(missing_curves, orders=(L,)), sources,
                            args.jobs, label)
-    curves = [m[L] for m in members]
-    lengths = {len(c) for c in curves}
-    if len(lengths) != 1:
-        raise DataError("ensemble members must share one series length")
-    mean_m = np.mean(np.vstack(curves), axis=0)
-    fit = fit_decay(mean_m, L, model=args.model,
+    fit = fit_decay(mean_curve(members, L), L, model=args.model,
                     fix_intercept=not args.free_intercept)
     header = ["source", "L", "model", "R", "C", "beta", "T_min", "T_max",
               "residual", "n_points", "realizations"]
     rows = [[label, L, fit.model, f"{fit.R:.6e}", f"{fit.C:.6e}",
              f"{fit.beta:.4f}", fit.fit_range[0], fit.fit_range[1],
-             f"{fit.residual:.5f}", fit.n_points, len(curves)]]
+             f"{fit.residual:.5f}", fit.n_points, len(members)]]
     _emit(header, rows, args)
     return 0
 
@@ -350,7 +345,7 @@ def _table_command(sub, name: str, help: str, func, series: bool = True):
     parser = sub.add_parser(name, help=help)
     if series:
         _add_process_args(parser)
-        parser.add_argument("--input", nargs="*", default=None,
+        parser.add_argument("--input", nargs="+", action="extend", default=None,
                             help="series files in place of --process")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None)

@@ -338,15 +338,30 @@ def _check_alpha_labels(alphas) -> tuple[float, ...]:
     return alphas
 
 
-def _is_shannon(alpha: float) -> bool:
-    return abs(alpha - 1.0) < 1e-8  # the Shannon limit of the Renyi family
+def _is_near_shannon(alpha: float, ln_p_min: float = math.log(math.ulp(0.0))) -> bool:
+    """Whether :func:`_near_shannon` holds for levels ``ln p_i >= ln_p_min``
+    (any double by default): the Shannon window, or 0.999 < alpha < 1.001
+    while every ``|(alpha - 1) ln p_i| <= 1``, short of where expm1 saturates."""
+    return abs(alpha - 1.0) < 1e-8 or (
+        0.999 < alpha < 1.001 and abs((alpha - 1.0) * ln_p_min) <= 1.0)
+
+
+def _near_shannon(masses, ln_p, alpha: float) -> float:
+    """Renyi entropy where :func:`_is_near_shannon` holds, from the masses
+    ``m_i`` (summing to 1) of the levels ``p_i``: the Shannon entropy within
+    1e-8 of 1, else ``log1p(sum m_i expm1((alpha - 1) ln p_i)) / (1 - alpha)``."""
+    masses, ln_p = np.asarray(masses), np.asarray(ln_p)
+    if abs(alpha - 1.0) < 1e-8:  # the Shannon limit of the Renyi family
+        return float(-np.sum(masses * ln_p))
+    total = np.sum(masses * np.expm1((alpha - 1.0) * ln_p))  # sum p_i^alpha - 1
+    return float(np.log1p(total) / (1.0 - alpha))
 
 
 def renyi_entropy(dist, alpha: float) -> float:
     """Renyi entropy of order ``alpha`` in nats (``k = 1``).
 
-    ``alpha = 0`` gives the log support size, ``alpha = 1`` (within
-    1e-8) the Shannon entropy, otherwise
+    ``alpha = 0`` gives the log support size, ``0.999 < alpha < 1.001`` the
+    Shannon or ``log1p`` form of :func:`_near_shannon`, otherwise
     ``(1 - alpha)^{-1} * ln(sum p_i^alpha)``.  A sum below the smallest
     normal double is taken in log space, ``alpha*m + ln sum
     exp(alpha*(ln p_i - m))`` with ``m = max ln p_i``, and stays finite.
@@ -356,8 +371,8 @@ def renyi_entropy(dist, alpha: float) -> float:
     support = p[p > 0.0]
     if alpha == 0.0:
         return float(np.log(support.size))
-    if _is_shannon(alpha):
-        return float(-np.sum(support * np.log(support)))
+    if _is_near_shannon(alpha):
+        return _near_shannon(support, np.log(support), alpha)
     total = np.sum(support**alpha)
     if total >= sys.float_info.min:
         return float(np.log(total) / (1.0 - alpha))

@@ -66,7 +66,7 @@ from .processes import (
 from .processes import member_seed  # noqa: F401 -- perfbench imports it from here
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "ExperimentResult", "run_experiment",
-           "run_ensemble", "pool_size", "entropy_cells",
+           "run_ensemble", "pool_size", "mean_curve", "entropy_cells",
            "missing_curves", "render_table", "read_text", "write_text",
            "FACTORIAL_PROCESSES", "TABLE2_REFERENCE"]
 
@@ -210,6 +210,15 @@ def run_ensemble(measure, sources, jobs: int, label: str) -> list:
         raise DataError(f"process {label!r} failed: {exc}") from exc
 
 
+def mean_curve(members, key) -> np.ndarray:
+    """The mean of the curves ``member[key]`` over an ensemble, point by
+    point; members of different series lengths raise DataError."""
+    curves = [m[key] for m in members]
+    if len({len(c) for c in curves}) != 1:
+        raise DataError("ensemble members must share one series length")
+    return np.mean(np.vstack(curves), axis=0)
+
+
 def _ensemble(config: ExperimentConfig, j: int, name: str, spec: ProcessSpec,
               length: int, measure) -> list:
     """``measure`` over the realizations of process ``j`` of an experiment."""
@@ -238,14 +247,11 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
     return out
 
 
-def _g_curve(series, L: int) -> np.ndarray:
-    return np.log(ordinal.visible_curve(series, L))
-
-
 def _g_curve_and_support(series, L: int) -> tuple[np.ndarray, list[int]]:
+    """``ln A_{L,T}`` at every prefix length and the codes seen (small L)."""
     codes = ordinal.window_codes(series, L)
     return (np.log(ordinal._prefix_curve(codes, L)),
-            list(ordinal._census(codes, L).counts))
+            np.flatnonzero(np.bincount(codes)).tolist())
 
 
 def missing_curves(series, orders) -> dict[int, np.ndarray]:
@@ -317,61 +323,40 @@ def _experiment_fig4(config: ExperimentConfig, length: int):
 
 # -- fig2 / fig3 (finite-length complexity function) ------------------------
 
-def _experiment_fig2(config: ExperimentConfig, length: int):
+def _g_tables(stem: str, processes, config: ExperimentConfig, length: int,
+              every: int):
+    """Ensemble mean of ``g(6, T) = ln A_{6,T}`` per process at the ``T``
+    divisible by ``every`` and at ``T = 6``, its final values, and each
+    process's visible union: the distinct patterns of all its members."""
     L = 6
-    curves = {
-        name: np.mean(np.vstack(
-            _ensemble(config, j, name, spec, length, partial(_g_curve, L=L))
-        ), axis=0)
-        for j, (name, spec) in enumerate(FACTORIAL_PROCESSES)
-    }
-    ts = np.arange(L, length + 1)
-    emit = (ts % 50 == 0) | (ts == L)
-    header = ["T"] + [name for name, _ in FACTORIAL_PROCESSES]
-    rows = [
-        [int(t)] + [f"{curves[name][k]:.6f}" for name, _ in FACTORIAL_PROCESSES]
-        for k, t in enumerate(ts)
-        if emit[k]
-    ]
-    summary = {
-        "final_g": {name: float(curve[-1]) for name, curve in curves.items()},
-        "target": math.log(math.factorial(L)),
-    }
-    return {"fig2_g6": (header, rows)}, summary
+    curves, unions = {}, {}
+    for j, (name, spec) in enumerate(processes):
+        members = _ensemble(config, j, name, spec, length,
+                            partial(_g_curve_and_support, L=L))
+        curves[name] = mean_curve(members, 0)
+        unions[name] = len({code for _, support in members for code in support})
+    header = ["T"] + [name for name, _ in processes]
+    rows = [[t] + [f"{curves[name][k]:.6f}" for name, _ in processes]
+            for k, t in enumerate(range(L, length + 1)) if t % every == 0 or t == L]
+    summary = {"final_g": {name: float(curve[-1]) for name, curve in curves.items()}}
+    return {f"{stem}_g6": (header, rows)}, summary, unions
+
+
+def _experiment_fig2(config: ExperimentConfig, length: int):
+    tables, summary, _ = _g_tables("fig2", FACTORIAL_PROCESSES, config, length, 50)
+    summary["target"] = math.log(math.factorial(6))
+    return tables, summary
 
 
 def _experiment_fig3(config: ExperimentConfig, length: int):
-    L = 6
     periods = (2, 3, 4, 5, 6)
-    process_list = [
-        (f"xp-p{p}", ProcessSpec("xp", length=1, period=p)) for p in periods
-    ]
-    curves, supports = {}, {}
-    for j, (name, spec) in enumerate(process_list):
-        members = _ensemble(config, j, name, spec, length,
-                            partial(_g_curve_and_support, L=L))
-        curves[name] = np.mean(np.vstack([g for g, _ in members]), axis=0)
-        seen = np.concatenate([support for _, support in members])
-        supports[name] = int(np.count_nonzero(np.bincount(seen)))
-    ts = np.arange(L, length + 1)
-    header = ["T"] + [name for name, _ in process_list]
-    rows = [
-        [int(t)] + [f"{curves[name][k]:.6f}" for name, _ in process_list]
-        for k, t in enumerate(ts)
-    ]
-    support_rows = [
-        [p, supports[f"xp-p{p}"], xp_allowed_count(p, L)] for p in periods
-    ]
-    summary = {
-        "final_g": {name: float(curves[name][-1]) for name, _ in process_list},
-        "union_support": {name: supports[name] for name, _ in process_list},
-        "analytic_allowed": {f"xp-p{p}": xp_allowed_count(p, L) for p in periods},
-    }
-    return {
-        "fig3_g6": (header, rows),
-        "fig3_support": (["period", "visible_union", "allowed_analytic"],
-                         support_rows),
-    }, summary
+    processes = [(f"xp-p{p}", ProcessSpec("xp", length=1, period=p)) for p in periods]
+    tables, summary, unions = _g_tables("fig3", processes, config, length, 1)
+    allowed = {name: xp_allowed_count(p, 6) for p, (name, _) in zip(periods, processes)}
+    rows = [[p, unions[name], allowed[name]] for p, name in zip(periods, allowed)]
+    tables["fig3_support"] = (["period", "visible_union", "allowed_analytic"], rows)
+    summary.update(union_support=unions, analytic_allowed=allowed)
+    return tables, summary
 
 
 # -- table1 -----------------------------------------------------------------
@@ -383,8 +368,7 @@ def _experiment_table1(config: ExperimentConfig, length: int):
         members = _ensemble(config, j, name, spec, length,
                             partial(missing_curves, orders=orders))
         for L in orders:
-            mean_m = np.mean(np.vstack([m[L] for m in members]), axis=0)
-            fits[(name, L)] = fit_decay(mean_m, L)
+            fits[(name, L)] = fit_decay(mean_curve(members, L), L)
     header = ["process"] + [f"R_L{L}" for L in orders] + [
         f"residual_L{L}" for L in orders
     ]

@@ -19,7 +19,7 @@ from permz.analysis import (
     xp_pattern_probabilities,
 )
 from permz.entropy import renyi_entropy
-from permz.errors import DataError, ValidationError
+from permz.errors import DataError, NumericalError, ValidationError
 from permz.experiments import missing_curves
 from permz.ordinal import (
     OrdinalPattern,
@@ -116,6 +116,13 @@ def test_fit_decay_errors():
         with pytest.raises(ValidationError):
             fit_decay(curve, bad)
     assert fit_decay(curve, np.int64(4)) == fit_decay(curve, 4)
+
+
+@pytest.mark.parametrize("kwargs", [{"fix_intercept": False}, {"model": "stretched"}])
+def test_fit_decay_constant_beyond_a_double_raises_numerical_error(kwargs):
+    curve = np.array([1e300, 1e250, 1e200, 1e150, 1e100, 1e50, 10.0])
+    with pytest.raises(NumericalError, match="overflows at the fitted ln C = "):
+        fit_decay(curve, 20, **kwargs)
 
 
 # -- noisy-periodic combinatorics ----------------------------------------------
@@ -224,6 +231,16 @@ def test_xp_renyi_equals_a_decimal_reference_at_any_order(p, L):
     d = xp_distribution(p, L)
     for alpha in (0.5, 1.0, 1.5, 2.0, 3.0):
         assert d.renyi(alpha) == pytest.approx(decimal_xp_renyi(d, alpha), rel=2e-15)
+
+
+@pytest.mark.parametrize("alpha", [1.0 + s * d for d in (1.1e-8, 1e-7, 1e-5, 9.99e-4)
+                                   for s in (1, -1)])
+@pytest.mark.parametrize("L", [8, 2000, 10_000])
+def test_xp_renyi_keeps_its_digits_next_to_the_shannon_window(alpha, L):
+    # from L ~ 2000, (alpha - 1) ln P_i leaves the reach of expm1 at the
+    # band's edge, and the log-sum-exp form has to take over
+    d = xp_distribution(3, L)
+    assert d.renyi(alpha) == pytest.approx(decimal_xp_renyi(d, alpha), rel=1e-14)
 
 
 def test_xp_class_constants():

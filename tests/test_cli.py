@@ -671,3 +671,50 @@ def test_input_sidecar_records_no_seed_or_realizations(command, tmp_path):
     assert code == 0
     options = json.loads((tmp_path / "out.csv.json").read_text())["options"]
     assert "seed" not in options and "realizations" not in options
+
+
+@pytest.mark.parametrize("command", [("entropy", "--orders", "3", "--alpha", "1"),
+                                     ("decay", "--order", "4")])
+def test_repeated_input_options_add_up(command, monkeypatch, tmp_path):
+    paths = []
+    for i in (1, 2):
+        paths.append(str(tmp_path / f"m{i}.txt"))
+        run_cli("generate", "--process", "white-noise", "--length", "3000",
+                "--seed", str(i), "--output", paths[-1])
+    written = []
+    for name, argv in (("joined", ["--input", *paths]),
+                       ("repeated", ["--input", paths[0], "--input", paths[1]])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # the sidecar records the --output path
+        code, out = run_cli(*command, *argv)
+        assert code == 0
+        assert run_cli(*command, *argv, "--output", "out") == (0, "")
+        written.append((out, Path("out").read_bytes(), Path("out.json").read_bytes()))
+    assert written[0] == written[1]
+    options = json.loads(written[1][2])["options"]
+    assert options["input"] == paths
+
+
+def test_census_with_repeated_input_options_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "s.txt")
+    write_series(path, np.arange(50.0) % 7)
+    code, _ = run_cli("census", "--order", "3", "--input", path, "--input", path)
+    assert code == 2
+    assert "census takes exactly one --input file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("census", "--order", "3"),
+                                     ("entropy", "--orders", "3"),
+                                     ("decay", "--order", "4")])
+def test_input_without_a_path_exits_2_from_argparse(command, capsys):
+    assert run_cli(*command, "--input") == (2, "")
+    assert "--input: expected at least one argument" in capsys.readouterr().err
+
+
+def test_decay_over_inputs_of_different_lengths_exits_3(tmp_path, capsys):
+    paths = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+    for path, length in zip(paths, ("3000", "2000")):
+        run_cli("generate", "--process", "white-noise", "--length", length,
+                "--output", path)
+    assert run_cli("decay", "--order", "4", "--input", *paths) == (3, "")
+    assert "ensemble members must share one series length" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import math
 import struct
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -104,6 +105,30 @@ def test_renyi_is_bounded_at_any_alpha_and_keeps_its_normal_sums(weights, alpha)
     _assert_within_renyi_bounds(r, p)
     if alpha > 0 and np.sum(p[p > 0]**alpha) >= np.finfo(float).tiny:
         assert struct.pack("<d", r) == struct.pack("<d", _inline_renyi(p, alpha))
+
+
+# just outside the Shannon window |alpha - 1| < 1e-8, up to the band's edge
+_NEAR_ONE = [1.0 + s * d for d in (1.1e-8, 1e-7, 1e-5, 9.99e-4) for s in (1, -1)]
+
+
+def _decimal_renyi(p, alpha: float) -> float:
+    """Renyi entropy of the normalized vector ``p / sum(p)`` in 80-digit
+    decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        q = [Decimal(float(x)) for x in p if x > 0]
+        total = sum(q)
+        a = Decimal(alpha)
+        return float(sum((a * (x / total).ln()).exp() for x in q).ln() / (1 - a))
+
+
+@pytest.mark.parametrize("alpha", _NEAR_ONE)
+def test_renyi_keeps_its_digits_next_to_the_shannon_window(alpha):
+    censuses = [pattern_census(generate(ProcessSpec(kind, length=3_000, seed=seed)), L)
+                for kind, seed, L in (("white-noise", 0, 4), ("noisy-logistic", 1, 5))]
+    for p in ([0.5, 0.3, 0.2], *(c.probabilities for c in censuses)):
+        assert renyi_entropy(p, alpha) == pytest.approx(_decimal_renyi(p, alpha),
+                                                        rel=1e-14)
 
 
 def test_renyi_accepts_pattern_distribution():

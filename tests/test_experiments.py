@@ -9,8 +9,8 @@ from permz.analysis import stabilized_census
 from permz.entropy import ComplexityClass, renyi_entropy
 from permz.errors import DataError, NumericalError, ValidationError
 from permz.experiments import (
-    ExperimentConfig, _g_curve_and_support, entropy_cells, missing_curves, pool_size,
-    run_ensemble, run_experiment,
+    ExperimentConfig, _g_curve_and_support, entropy_cells, mean_curve, missing_curves,
+    pool_size, run_ensemble, run_experiment,
 )
 from permz.ordinal import pattern_census, visible_curve
 from permz.processes import ProcessSpec, generate
@@ -207,3 +207,23 @@ def test_fig3_measure_codes_each_series_once(monkeypatch):
     g, support = _g_curve_and_support(series, 6)
     assert calls == [6]
     assert g.tobytes() == want[0].tobytes() and support == want[1]
+
+
+@pytest.mark.parametrize("spec", [ProcessSpec("xp", length=400, seed=5, period=3),
+                                  ProcessSpec("white-noise", length=3_000, seed=5)])
+def test_g_measure_support_equals_the_census_support(spec):
+    # 400 leaves L! = 720 > n windows (the prefix curve's distinct-code
+    # columns), 3000 does not
+    series = generate(spec)
+    g, support = _g_curve_and_support(series, 6)
+    assert support == list(pattern_census(series, 6).counts)
+    assert g.tobytes() == np.log(visible_curve(series, 6)).tobytes()
+
+
+def test_mean_curve_averages_point_by_point_and_needs_one_length():
+    members = [{4: np.array([3.0, 2.0, 1.0])}, {4: np.array([1.0, 1.0, 0.0])}]
+    assert mean_curve(members, 4).tolist() == [2.0, 1.5, 0.5]
+    assert mean_curve([(np.arange(4.0), [])], 0).tolist() == [0.0, 1.0, 2.0, 3.0]
+    members.append({4: np.array([1.0, 1.0])})
+    with pytest.raises(DataError, match="ensemble members must share one series length"):
+        mean_curve(members, 4)

@@ -6,7 +6,12 @@ seeded grid of synthetic inputs: ``fit_decay`` in its three model settings,
 ``entropy_rate_estimate`` and ``estimate_class_constant`` for both families
 plus an all-ones set, whose fit is degenerate.  The digest was captured while each estimator still
 wrote its own least-squares formula, so any change of a fitted value, down
-to the last bit, fails here.  A fit that raises is recorded by its error.
+to the last bit, fails here.  A fit that raises a package error is recorded
+by that error; any other exception fails the test.  The digest was
+re-captured once since, when the two stretched fits at Stream seeds 7003
+and 7119, whose fitted ``ln C`` (723 and 733) overflows ``exp``, turned
+from a bare OverflowError into a NumericalError; the other 1,049 results
+kept their text.
 """
 
 import hashlib
@@ -20,14 +25,13 @@ from permz.entropy import _line_fit, entropy_rate_estimate
 from permz.errors import PermzError
 from permz.rng import Stream
 
-FIT_DIGEST = "fe7ca2455543a839bdc01f8db87b2ead36438ea1b69a6d9c819ced046cca82a8"
+FIT_DIGEST = "03d3af155a155bf9047ccbc625df0867233d29969f82b5cfa2d602ea93093f60"
 
 
 def _attempt(fit, *args, **kwargs) -> str:
     try:
         return repr(fit(*args, **kwargs))
-    except (PermzError, OverflowError) as exc:
-        # two short stretched fits overflow ``exp(ln C)`` with a bare OverflowError
+    except PermzError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 

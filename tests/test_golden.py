@@ -221,3 +221,29 @@ def test_output_and_sidecar_match_golden_digests(argv, monkeypatch, tmp_path):
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("out", "out.json")
     ) == SIDECAR_GOLDEN[argv]
+
+
+# sha256 of ``permz --help`` and of each ``<command> --help`` at 80 columns,
+# captured before the fig2/fig3 runner was merged; the census, entropy and
+# decay digests were re-captured once, when ``--input`` became a repeatable
+# option taking one or more files (usage ``[--input INPUT [INPUT ...]]``)
+HELP_GOLDEN = {
+    (): "ab3eb53832c38a3d7052eb5bf1a4816aad73b8e29f6dd8d577a24c4c9be165ec",
+    ("generate",): "58ce6db9807aa02b5cf44cc8124312a4ac2ca18a77d0db2845b0339d0e7f9855",
+    ("census",): "c1b5e5f6932bb9ab4be284dec4a3cfe327049541b7360c2612547930b99cd2de",
+    ("entropy",): "4d1f6fdfb684435ba98154d292508c9f682f195f46883a55cddb850a4113f13c",
+    ("decay",): "aa1491ae0c632ed93a1d935b3dd12484c0c1014324efa4eb60c2c37ff95ffc34",
+    ("experiment",): "390da50fc942ff2682fe89d954f6d9ac144c02301647ad15b345d4b5987008e9",
+    ("xp",): "9f00996ef6e15800e6b744600850ec221d889627b644f0117a55f29622b19fbd",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN),
+                         ids=lambda c: " ".join(c) or "permz")
+def test_help_texts_match_golden_digests(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit) as exit_info:
+        main([*command, "--help"])
+    assert exit_info.value.code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == HELP_GOLDEN[command]
