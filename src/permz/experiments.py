@@ -239,10 +239,11 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
     coded = ordinal._codes_per_order(series, orders)
     out = {}
     # map holds no code array once it is counted
-    for L, dist in zip(orders, map(count, coded, orders)):
+    for L, (_, counts) in zip(orders, map(count, coded, orders)):
+        p = counts / counts.sum()
         for alpha in alphas:
-            r = entropy.renyi_entropy(dist, alpha)
-            z = cls.z(r) if alpha > 0 else z_topological(dist.support_size, cls)
+            r = entropy.renyi_entropy(p, alpha)
+            z = cls.z(r) if alpha > 0 else z_topological(counts.size, cls)
             out[(L, alpha)] = (r, z, z / L)
     return out
 
@@ -250,8 +251,7 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
 def _g_curve_and_support(series, L: int) -> tuple[np.ndarray, list[int]]:
     """``ln A_{L,T}`` at every prefix length and the codes seen (small L)."""
     codes = ordinal.window_codes(series, L)
-    return (np.log(ordinal._prefix_curve(codes, L)),
-            np.flatnonzero(np.bincount(codes)).tolist())
+    return np.log(ordinal._prefix_curve(codes, L)), ordinal._census(codes, L)[0].tolist()
 
 
 def missing_curves(series, orders) -> dict[int, np.ndarray]:

@@ -6,12 +6,12 @@ counts as smaller.  Rank vectors are permutations of ``0..L-1`` and are
 keyed by their Lehmer code, an integer in ``[0, L!)``.
 
 Every census lives here: each slides a stride-1 window over the series
-(``N - L + 1`` windows from a series of length ``N``) and counts them by
-the one census rule, ``_census``, which owns block size, stop and order.
-Codes come from running sums of comparisons over the lags (``_lag_sums``),
-built once per series up to its largest order: ``_codes_per_order`` serves
-every order of a series from one pass, and ``window_codes`` is its
-one-order case.
+(``N - L + 1`` windows of a series of length ``N``) and counts them by
+the one census rule, ``_census``, which owns block size, stop and order
+and returns code and count arrays.  Codes come from running sums of
+comparisons over the lags (``_lag_sums``), built once per series up to its
+largest order: ``_codes_per_order`` serves every order of a series from one
+pass, and ``window_codes`` is its one-order case.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial, inf
 from numbers import Integral
+from operator import index
 
 import numpy as np
 
@@ -45,17 +46,23 @@ def _check_order(L, hi=_MAX_ORDER) -> None:
 
 @dataclass(frozen=True)
 class OrdinalPattern:
-    """A rank vector together with its Lehmer code."""
+    """A rank vector together with its Lehmer code.  ``ranks`` is kept as
+    a tuple of Python ints, whatever sequence of integers it is given as."""
 
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        L = len(self.ranks)
-        _check_order(L, hi=inf)
-        if sorted(self.ranks) != list(range(L)):
+        try:
+            ranks = tuple(map(index, self.ranks))
+        except TypeError:
             raise ValidationError(
-                f"ranks {self.ranks!r} are not a permutation of 0..{L - 1}"
-            )
+                f"ranks {self.ranks!r} are not a sequence of integers"
+            ) from None
+        object.__setattr__(self, "ranks", ranks)
+        L = len(ranks)
+        _check_order(L, hi=inf)
+        if sorted(ranks) != list(range(L)):
+            raise ValidationError(f"ranks {ranks!r} are not a permutation of 0..{L - 1}")
 
     @property
     def length(self) -> int:
@@ -63,7 +70,7 @@ class OrdinalPattern:
 
     @property
     def code(self) -> int:
-        return lehmer_encode(self.ranks)
+        return lehmer_encode(self)
 
     @classmethod
     def from_code(cls, code: int, length: int) -> "OrdinalPattern":
@@ -74,10 +81,10 @@ class OrdinalPattern:
 class PatternDistribution:
     """Empirical distribution of ordinal patterns over a series.
 
-    ``counts`` maps Lehmer codes to window counts; ``total_windows`` is
-    the number of windows the census saw (``N - L + 1``).
-    ``probabilities`` (read-only, over the positive counts in dict order)
-    and ``support_size`` are computed once, at construction.
+    ``counts`` maps Lehmer codes to integer window counts (the public
+    censuses build it from ``_census``'s arrays) over ``total_windows``
+    windows (``N - L + 1``).  ``probabilities`` (read-only, the positive
+    counts in dict order) and ``support_size`` are computed at construction.
     """
 
     order: int
@@ -88,6 +95,9 @@ class PatternDistribution:
 
     def __post_init__(self):
         _check_order(self.order)  # the orders whose codes fit int64
+        if not all(isinstance(k, Integral)
+                   for k in (self.total_windows, *self.counts.values())):
+            raise DataError("pattern counts and total_windows must be integers")
         if self.total_windows <= 0:
             raise DataError("census with no windows")
         n = len(self.counts)  # at most L! when every code is in range
@@ -100,7 +110,10 @@ class PatternDistribution:
             raise ValidationError(
                 f"code {lo if lo < 0 else hi} out of range for L={self.order}"
             )
-        counts = np.fromiter(self.counts.values(), np.int64, n)
+        try:
+            counts = np.fromiter(self.counts.values(), np.int64, n)
+        except OverflowError:  # beyond int64, so beyond any window total
+            raise DataError("a pattern count is out of the int64 range") from None
         if np.any(counts < 0):
             raise DataError("pattern counts must be nonnegative")
         if counts.sum() != self.total_windows:
@@ -140,8 +153,11 @@ def rank_vector(window) -> OrdinalPattern:
 
 def lehmer_encode(pattern) -> int:
     """Lehmer code of a permutation word; identity maps to 0,
-    the strictly decreasing word to ``L! - 1``."""
-    ranks = pattern.ranks if isinstance(pattern, OrdinalPattern) else tuple(pattern)
+    the strictly decreasing word to ``L! - 1``.  A word that is not a
+    permutation raises ValidationError."""
+    if not isinstance(pattern, OrdinalPattern):
+        pattern = OrdinalPattern(pattern)
+    ranks = pattern.ranks
     L = len(ranks)
     code = 0
     for i in range(L - 1):
@@ -243,44 +259,38 @@ def window_codes(series, L: int) -> np.ndarray:
     return next(_codes_per_order(series, (L,)))
 
 
-def _columns(codes: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted column keys and each window's column: every code is its own
-    column when ``L! <= n`` windows, else only the distinct codes are."""
-    if factorial(L) <= codes.size:
-        return np.arange(factorial(L)), codes
-    return np.unique(codes, return_inverse=True)
-
-
-def _census(codes: np.ndarray, L: int, stabilized: bool = False) -> PatternDistribution:
-    """The census rule of :func:`stabilized_census` (blocks of ``5 * L!``
-    windows) or of :func:`pattern_census` (one block) for these codes."""
+def _census(codes: np.ndarray, L: int, stabilized: bool = False) -> tuple:
+    """The census rule of :func:`stabilized_census` (``5 * L!`` blocks) or of
+    :func:`pattern_census`: the codes seen, by first block then code, and their counts."""
     n = codes.size
-    block = 5 * factorial(L) if stabilized else n
-    keys, col = _columns(codes, L)
-    m = keys.size
+    if factorial(L) > n:  # every block rule gives one block: code order
+        return np.unique(codes, return_counts=True)
+    m = factorial(L)  # one column per code
+    block = 5 * m if stabilized else n
     n_blocks = -(-n // block)
-    # row-major (block, column) cells; a lone block needs no block index,
-    # and its size may not fit int64 (5 * 20! does not)
-    cell = col if n_blocks == 1 else np.arange(n) // block * m + col
+    # row-major (block, code) cells; a lone block needs no block index
+    cell = codes if n_blocks == 1 else np.arange(n) // block * m + codes
     cum = np.bincount(cell, minlength=n_blocks * m).reshape(n_blocks, m)
     cum = cum.cumsum(axis=0)
     used = cum.sum(axis=1)
     drift = np.abs(np.diff(cum / used[:, None], axis=0)).max(axis=1)
     settled = np.flatnonzero(drift <= 1e-4)
     row = settled[0] + 1 if settled.size else n_blocks - 1
-    kept = np.lexsort((keys, (cum > 0).argmax(axis=0)))
+    kept = np.argsort((cum > 0).argmax(axis=0), kind="stable")
     kept = kept[cum[row, kept] > 0]
-    return PatternDistribution(
-        order=L,
-        counts=dict(zip(keys[kept].tolist(), cum[row, kept].tolist())),
-        total_windows=int(used[row]),
-    )
+    return kept, cum[row, kept]
+
+
+def _distribution(series, L: int, stabilized: bool) -> PatternDistribution:
+    codes, counts = _census(window_codes(series, L), L, stabilized)
+    return PatternDistribution(L, dict(zip(codes.tolist(), counts.tolist())),
+                               int(counts.sum()))
 
 
 def pattern_census(series, L: int) -> PatternDistribution:
     """Count the ordinal patterns of all stride-1 windows, in code
     order: the one-block case of the census rule."""
-    return _census(window_codes(series, L), L)
+    return _distribution(series, L, stabilized=False)
 
 
 def stabilized_census(series, L: int) -> PatternDistribution:
@@ -295,7 +305,7 @@ def stabilized_census(series, L: int) -> PatternDistribution:
     this rule.  All ``N - L + 1`` windows are coded first, so the early
     exit decides how many are counted, not coded.
     """
-    return _census(window_codes(series, L), L, stabilized=True)
+    return _distribution(series, L, stabilized=True)
 
 
 def visible_curve(series, L: int) -> np.ndarray:
@@ -313,7 +323,10 @@ def visible_curve(series, L: int) -> np.ndarray:
 def _prefix_curve(codes: np.ndarray, L: int) -> np.ndarray:
     """:func:`visible_curve` of these codes: each code is counted at its
     first occurrence."""
-    keys, col = _columns(codes, L)
-    first = np.full(keys.size, codes.size)  # codes.size: never seen
+    m, col = factorial(L), codes  # a column per code
+    if m > codes.size:  # or, when L! > n windows, per distinct code
+        uniq, col = np.unique(codes, return_inverse=True)
+        m = uniq.size
+    first = np.full(m, codes.size)  # codes.size: never seen
     np.minimum.at(first, col, np.arange(codes.size))
     return np.cumsum(np.bincount(first, minlength=codes.size + 1)[:-1])

@@ -27,14 +27,20 @@ def test_public_api_is_pinned():
         assert hasattr(permz, name), name
 
 
+def _load_bench_module(name: str, monkeypatch):
+    """Execute ``perfbench/<name>.py`` as a module, without touching perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_binding_resolves_to_a_callable(monkeypatch):
     """The benchmark's tracer wraps functions where the program binds them;
     a binding that moved or is no longer imported would fail only there."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = _load_bench_module("spans", monkeypatch)
     for module_name, attr, *_ in spans.WRAP_POINTS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
@@ -53,3 +59,9 @@ def test_every_name_the_benchmark_imports_resolves():
                 found = hasattr(module, alias.name) or importlib.util.find_spec(
                     f"{node.module}.{alias.name}") is not None  # a submodule
                 assert found, f"{path.name}: from {node.module} import {alias.name}"
+
+
+def test_benchmark_workloads_import(monkeypatch):
+    """The workloads module runs its imports of the program at load time."""
+    workloads = _load_bench_module("workloads", monkeypatch)
+    assert workloads.WORKLOADS

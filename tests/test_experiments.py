@@ -3,10 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from permz import ordinal
 from permz.analysis import stabilized_census
-from permz.entropy import ComplexityClass, renyi_entropy
+from permz.entropy import ComplexityClass, renyi_entropy, z_topological
 from permz.errors import DataError, NumericalError, ValidationError
 from permz.experiments import (
     ExperimentConfig, _g_curve_and_support, entropy_cells, mean_curve, missing_curves,
@@ -161,6 +162,42 @@ def test_entropy_cells_compute_each_renyi_entropy_once(monkeypatch):
     cells = entropy_cells(series, orders=(3, 4, 5), alphas=(0.0, 0.5, 1.0, 1.5),
                           cls=ComplexityClass.factorial())
     assert len(cells) == 12 and len(calls) == 12
+
+
+@st.composite
+def cell_series(draw):
+    """Normal, tie-heavy or period-3 series of 10..700 samples: at orders
+    2..7 both L! <= n windows and L! > n occur, and several stop-rule
+    blocks of 5 * L! fit at the low orders."""
+    kind = draw(st.sampled_from(["normal", "ties", "period-3"]))
+    size = draw(st.integers(10, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        return rng.normal(size=size)
+    if kind == "ties":
+        return rng.integers(0, 3, size=size).astype(np.float64)
+    return np.resize(rng.normal(size=3), size) + 1e-3 * rng.normal(size=size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=cell_series(), orders=st.lists(st.integers(2, 7), min_size=1, max_size=4),
+       alphas=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0005, 2.0, 7.5]), min_size=1,
+                       max_size=3),
+       cls=st.sampled_from([ComplexityClass.factorial(), ComplexityClass.exponential(2.0),
+                            ComplexityClass.sub_factorial(0.5)]),
+       stabilized=st.booleans())
+def test_entropy_cells_equal_the_public_route_bit_for_bit(x, orders, alphas, cls,
+                                                          stabilized):
+    assume(x.size >= max(orders))
+    census = stabilized_census if stabilized else pattern_census
+    want = {}
+    for L in orders:
+        dist = census(x, L)
+        for alpha in alphas:
+            r = renyi_entropy(dist, alpha)
+            z = cls.z(r) if alpha > 0 else z_topological(dist.support_size, cls)
+            want[(L, alpha)] = (r, z, z / L)
+    assert repr(entropy_cells(x, orders, alphas, cls, stabilized)) == repr(want)
 
 
 def _count_lag_sums(monkeypatch) -> list[int]:

@@ -97,6 +97,26 @@ def test_ordinal_pattern_type():
     assert lehmer_decode(5, np.int64(3)) == lehmer_decode(5, 3) == (2, 1, 0)
 
 
+def test_ordinal_pattern_keeps_its_ranks_as_a_tuple_of_ints():
+    # a list, a numpy array and numpy integers give the same hashable pattern
+    for ranks in ([1, 0], np.array([1, 0]), (np.int64(1), np.int32(0))):
+        p = OrdinalPattern(ranks)
+        assert p == OrdinalPattern((1, 0)) and hash(p) == hash(OrdinalPattern((1, 0)))
+        assert type(p.ranks) is tuple and all(type(r) is int for r in p.ranks)
+    assert len({OrdinalPattern([0, 1]), OrdinalPattern((0, 1))}) == 1
+    for bad in ((1.0, 0.0), (0, 1.5), np.array([1.0, 0.0]), ("0", "1"), "01", 5,
+                np.eye(2, dtype=int)):
+        with pytest.raises(ValidationError):
+            OrdinalPattern(bad)
+
+
+def test_lehmer_encode_rejects_words_that_are_not_permutations():
+    for bad in ([1, 1, 1], [5, 7], [0], (0, 2), (0.0, 1.0), []):
+        with pytest.raises(ValidationError):
+            lehmer_encode(bad)
+    assert lehmer_encode([2, 0, 1]) == lehmer_encode(np.array([2, 0, 1])) == 4
+
+
 # -- censuses ---------------------------------------------------------------
 
 def test_census_monotone_series():
@@ -154,6 +174,14 @@ def test_pattern_distribution_invariants():
     for order in (0, 1, 21, 25, 2.5, -1):
         with pytest.raises(ValidationError, match="order L"):
             PatternDistribution(order=order, counts={0: 1}, total_windows=1)
+    # a fractional count or total is refused, not truncated
+    for counts, total in (({0: 0.5, 1: 2}, 2), ({0: 3.9}, 3), ({0: 3.0}, 3),
+                          ({0: 3}, 3.0), ({0: 2, 1: 1}, 2.5)):
+        with pytest.raises(DataError, match="integers"):
+            PatternDistribution(order=3, counts=counts, total_windows=total)
+    assert PatternDistribution(3, {np.int64(0): np.int64(3)}, np.int64(3)).support_size == 1
+    with pytest.raises(DataError, match="int64"):
+        PatternDistribution(order=3, counts={0: 2**70}, total_windows=2**70)
     # a zero count is kept in ``counts`` but is not in the support
     dist = PatternDistribution(order=3, counts={0: 3, 1: 0}, total_windows=3)
     assert dist.support_size == 1
