@@ -23,13 +23,23 @@ documented draw order per kind:
   window 0.b_t..b_{t+52}, a typical orbit of x -> 2x mod 1 evaluated
   to one ulp (iterating doubles directly would collapse onto 0, since
   every double is a dyadic rational).
+
+Seed-free work is done once per key and kept in two memos of at most
+``_MEMO_KEYS`` (8) keys, least recently used out: the fGn/fBm
+circulant-embedding amplitudes keyed by ``(T, hurst)``, and the
+noiseless orbit of ``noisy-logistic``/``noisy-schuster`` keyed by
+``(kind, x0, T)``.  A key holds one read-only array of about ``8 * T``
+bytes (``16 * T`` for an fGn key and an orbit key), so the memos retain
+at most about ``128 * T`` bytes for the largest ``T`` generated; ``T``
+is the caller's choice.  Returned series are new writeable arrays,
+bit-identical to uncached ones; each pool worker fills its own memos.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from numbers import Integral, Real
 
 import numpy as np
@@ -67,6 +77,8 @@ _DEFAULT_X0 = 0.2002
 _NOISE_AMPLITUDE = {"noisy-logistic": 0.30, "noisy-schuster": 0.25}
 _XP_AMPLITUDE_MARGIN = 1e-9  # keeps noise strictly below delta/2
 _PROC_SEED_STRIDE = 1_000_003
+_MEMO_KEYS = 8
+_REAL_FIELDS = ("hurst", "amplitude", "x0", "delta", "sigma")
 
 
 def _check_count(name: str, value) -> None:
@@ -142,6 +154,12 @@ class ProcessSpec:
                 )
             if isinstance(value, Real) and not math.isfinite(value):
                 raise ValidationError(f"{field} must be finite")
+            if field in _REAL_FIELDS and value is not None:
+                if not isinstance(value, Real):
+                    raise ValidationError(f"{field} must be a real number")
+                # a Python float: a numpy float32 would iterate a map in
+                # float32 yet compare and hash equal to its float64 value
+                object.__setattr__(self, field, float(value))
 
         if self.kind in ("fgn", "fbm"):
             if self.hurst is None or not 0.0 < self.hurst < 1.0:
@@ -212,10 +230,11 @@ def fgn_autocovariance(hurst: float, lag: int) -> float:
     return 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2)
 
 
-def _fgn(n: int, hurst: float, stream: Stream) -> np.ndarray:
-    """Exact-covariance fGn via circulant embedding, O(n log n)."""
-    if n == 1:
-        return stream.gaussians(1)
+@lru_cache(maxsize=_MEMO_KEYS)
+def _fgn_amplitudes(n: int, hurst: float) -> tuple[float, float, np.ndarray]:
+    """The seed-free half of :func:`_fgn`: the amplitudes of frequency 0,
+    of frequency n and (read-only) of frequencies 1..n-1, from the clipped
+    circulant-embedding spectrum.  A failing key raises on every call."""
     gamma = fgn_autocovariance(hurst, np.arange(n + 1))
     row = np.concatenate([gamma, gamma[-2:0:-1]])
     lam = np.fft.fft(row).real
@@ -225,12 +244,23 @@ def _fgn(n: int, hurst: float, stream: Stream) -> np.ndarray:
         )
     lam = np.clip(lam, 0.0, None)
     m = 2 * n
+    inner = np.sqrt(lam[1:n] / (2.0 * m))
+    inner.flags.writeable = False
+    return math.sqrt(lam[0] / m), math.sqrt(lam[n] / m), inner
+
+
+def _fgn(n: int, hurst: float, stream: Stream) -> np.ndarray:
+    """Exact-covariance fGn via circulant embedding, O(n log n)."""
+    if n == 1:
+        return stream.gaussians(1)
+    first, last, inner = _fgn_amplitudes(n, hurst)
+    m = 2 * n
     g = stream.gaussians(m)
     a, b = g[: n + 1], g[n + 1 :]
     w = np.zeros(m, dtype=np.complex128)
-    w[0] = math.sqrt(lam[0] / m) * a[0]
-    w[n] = math.sqrt(lam[n] / m) * a[n]
-    w[1:n] = np.sqrt(lam[1:n] / (2.0 * m)) * (a[1:n] + 1j * b)
+    w[0] = first * a[0]
+    w[n] = last * a[n]
+    w[1:n] = inner * (a[1:n] + 1j * b)
     w[n + 1 :] = np.conj(w[1:n][::-1])
     return np.fft.fft(w)[:n].real
 
@@ -304,6 +334,14 @@ def map_orbit(spec: ProcessSpec, x0, n: int, kicks=None) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=_MEMO_KEYS)
+def _noiseless_orbit(kind: str, x0: float, n: int) -> np.ndarray:
+    """The read-only orbit under a noisy map's observational noise."""
+    orbit = map_orbit(ProcessSpec(kind, length=n, x0=x0), x0, n)
+    orbit.flags.writeable = False
+    return orbit
+
+
 def _shift_series(n: int, stream: Stream) -> np.ndarray:
     bits = stream.bits(n + 52).astype(np.float64)
     weights = 2.0 ** -(np.arange(1, 54, dtype=np.float64))
@@ -340,10 +378,10 @@ def generate(spec: ProcessSpec) -> np.ndarray:
     if spec.kind == "shift":
         return _shift_series(n, stream)
     x0 = _DEFAULT_X0 if spec.x0 is None else spec.x0
-    orbit = map_orbit(spec, x0, n, dither_kicks(spec, spec.seed, n))
     if spec.kind not in _NOISE_AMPLITUDE:
-        return orbit
+        return map_orbit(spec, x0, n, dither_kicks(spec, spec.seed, n))
     amplitude = spec.amplitude
     if amplitude is None:
         amplitude = _NOISE_AMPLITUDE[spec.kind]
-    return orbit + amplitude * (2.0 * stream.uniforms(n) - 1.0)
+    return (_noiseless_orbit(spec.kind, x0, n)
+            + amplitude * (2.0 * stream.uniforms(n) - 1.0))

@@ -1,17 +1,19 @@
+import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from permz import ordinal
+from permz import ordinal, processes
 from permz.analysis import stabilized_census
 from permz.entropy import ComplexityClass, renyi_entropy, z_topological
 from permz.errors import DataError, NumericalError, ValidationError
 from permz.experiments import (
     ExperimentConfig, _g_curve_and_support, entropy_cells, mean_curve, missing_curves,
-    pool_size, run_ensemble, run_experiment,
+    pool_size, render_table, run_ensemble, run_experiment,
 )
 from permz.ordinal import pattern_census, visible_curve
 from permz.processes import ProcessSpec, generate
@@ -67,6 +69,21 @@ def test_run_ensemble_keeps_package_error_classes(jobs):
 def test_run_ensemble_wraps_foreign_errors(jobs):
     with pytest.raises(DataError, match="process 'x' failed: boom"):
         run_ensemble(_raise_foreign, [np.zeros(3)] * 2, jobs, "x")
+
+
+def test_fig1_pool_from_a_cold_memo_equals_the_in_process_run():
+    def rendered(result):
+        tables = {stem: render_table(*table) for stem, table in result.tables.items()}
+        return tables, json.dumps(result.summary, sort_keys=True, default=str)
+
+    config = ExperimentConfig(realizations=2)
+    processes._fgn_amplitudes.cache_clear()
+    processes._noiseless_orbit.cache_clear()
+    pooled = run_experiment("fig1", replace(config, jobs=2))
+    if pool_size(2, 2) == 2:  # every member ran in a worker, with its own memo
+        assert processes._fgn_amplitudes.cache_info().currsize == 0
+        assert processes._noiseless_orbit.cache_info().currsize == 0
+    assert rendered(pooled) == rendered(run_experiment("fig1", config))
 
 
 def test_experiment_order_error_keeps_its_class():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permz import processes
-from permz.errors import ValidationError
+from permz.errors import NumericalError, ValidationError
 from permz.ordinal import pattern_census, window_codes
 from permz.processes import (
+    KINDS,
     ProcessSpec,
     derive_seed,
     dither_kicks,
@@ -17,6 +18,7 @@ from permz.processes import (
     generate,
     map_orbit,
 )
+from permz.rng import Stream
 
 
 # -- spec validation ---------------------------------------------------------
@@ -79,6 +81,33 @@ def test_real_parameters_must_be_finite(kind, field, extra, value):
     # one-sided ones; either would be written out as a series of nan
     with pytest.raises(ValidationError):
         ProcessSpec(kind, length=3, **extra, **{field: value})
+
+
+@pytest.mark.parametrize("kind, field, value, extra", [
+    ("noisy-logistic", "x0", np.float32(0.3), {}),
+    ("noisy-schuster", "amplitude", np.float32(0.3), {}),
+    ("piecewise-linear", "sigma", np.float32(2.7), {}),
+    ("xp", "delta", np.float32(0.3), {"period": 3}),
+    ("fgn", "hurst", np.float32(0.3), {}),
+])
+def test_real_parameters_are_stored_as_python_floats(kind, field, value, extra):
+    # a numpy float32 parameter compared and hashed equal to its float64
+    # value, yet iterated a map (or scaled xp levels) in float32: equal
+    # specs gave series up to 0.999 apart
+    spec = ProcessSpec(kind, length=2_000, seed=4, **extra, **{field: value})
+    plain = ProcessSpec(kind, length=2_000, seed=4, **extra, **{field: float(value)})
+    assert type(getattr(spec, field)) is float
+    assert spec == plain and hash(spec) == hash(plain)
+    _clear_memos()
+    first = generate(spec)
+    _clear_memos()
+    assert first.tobytes() == generate(plain).tobytes()
+
+
+@pytest.mark.parametrize("field", ["x0", "amplitude"])
+def test_real_parameters_must_be_real_numbers(field):
+    with pytest.raises(ValidationError, match=f"{field} must be a real number"):
+        ProcessSpec("noisy-logistic", length=5, **{field: "0.3"})
 
 
 @pytest.mark.parametrize("seed", [2.5, math.nan, 3.0])
@@ -357,3 +386,118 @@ def test_fgn_autocovariance_takes_the_generators_lag_array():
         fgn_autocovariance(math.nan, 1)
     with pytest.raises(ValidationError, match="lag"):
         fgn_autocovariance(0.5, np.array([0, -1]))
+
+
+# -- seed-free memos -----------------------------------------------------------
+
+def _clear_memos():
+    processes._fgn_amplitudes.cache_clear()
+    processes._noiseless_orbit.cache_clear()
+
+
+def _reference_fgn(n, hurst, stream):
+    """``_fgn`` as written before its spectrum was memoized."""
+    if n == 1:
+        return stream.gaussians(1)
+    gamma = fgn_autocovariance(hurst, np.arange(n + 1))
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    lam = np.fft.fft(row).real
+    if lam.min() < -1e-6:
+        raise NumericalError(
+            f"circulant embedding produced negative spectrum for H={hurst}"
+        )
+    lam = np.clip(lam, 0.0, None)
+    m = 2 * n
+    g = stream.gaussians(m)
+    a, b = g[: n + 1], g[n + 1 :]
+    w = np.zeros(m, dtype=np.complex128)
+    w[0] = math.sqrt(lam[0] / m) * a[0]
+    w[n] = math.sqrt(lam[n] / m) * a[n]
+    w[1:n] = np.sqrt(lam[1:n] / (2.0 * m)) * (a[1:n] + 1j * b)
+    w[n + 1 :] = np.conj(w[1:n][::-1])
+    return np.fft.fft(w)[:n].real
+
+
+def _reference_generate(spec):
+    """``generate`` without the memos, for the kinds that use them."""
+    stream = Stream(spec.seed)
+    n = spec.length
+    if spec.kind == "fgn":
+        return _reference_fgn(n, spec.hurst, stream)
+    if spec.kind == "fbm":
+        return np.cumsum(_reference_fgn(n, spec.hurst, stream))
+    x0 = processes._DEFAULT_X0 if spec.x0 is None else spec.x0
+    amplitude = processes._NOISE_AMPLITUDE[spec.kind]
+    if spec.amplitude is not None:
+        amplitude = spec.amplitude
+    return map_orbit(spec, x0, n) + amplitude * (2.0 * stream.uniforms(n) - 1.0)
+
+
+MEMO_SPECS = [
+    ProcessSpec("white-noise", length=1),
+    ProcessSpec("fgn", length=1, hurst=0.2),
+    ProcessSpec("fgn", length=1, hurst=0.8),
+    ProcessSpec("fbm", length=1, hurst=0.6),
+    ProcessSpec("noisy-logistic", length=1),
+    ProcessSpec("noisy-logistic", length=1, x0=0.3, amplitude=0.1),
+    ProcessSpec("noisy-schuster", length=1),
+    ProcessSpec("xp", length=1, period=3),
+    ProcessSpec("piecewise-linear", length=1, sigma=2.7),
+    ProcessSpec("piecewise-linear", length=1, sigma=2.7, dither=False),
+    ProcessSpec("logistic", length=1),
+    ProcessSpec("shift", length=1),
+]
+
+
+def test_memo_specs_cover_every_kind():
+    assert {spec.kind for spec in MEMO_SPECS} == set(KINDS)
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 7_000, 50_000])
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda s: s.kind)
+def test_memoized_series_equal_cold_and_reference_series(spec, length):
+    for seed in (0, 1, 2024):
+        member = replace(spec, length=length, seed=seed)
+        _clear_memos()
+        cold = generate(member)
+        warm = generate(member)
+        assert cold.flags.writeable and warm.flags.writeable
+        assert warm.tobytes() == cold.tobytes()
+        if spec.kind in ("fgn", "fbm", "noisy-logistic", "noisy-schuster"):
+            assert cold.tobytes() == _reference_generate(member).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    ProcessSpec("noisy-logistic", length=3_000, seed=5),
+    ProcessSpec("noisy-schuster", length=3_000, seed=5),
+    ProcessSpec("logistic", length=3_000, seed=5),
+    ProcessSpec("piecewise-linear", length=3_000, seed=5, sigma=2.7, dither=False),
+    ProcessSpec("fgn", length=3_000, seed=5, hurst=0.3),
+    ProcessSpec("fbm", length=3_000, seed=5, hurst=0.3),
+], ids=lambda s: s.kind)
+def test_writing_into_a_series_cannot_change_the_next(spec):
+    first = generate(spec)
+    expected = first.tobytes()
+    first[:] = -1.0
+    again = generate(spec)
+    assert again.flags.writeable
+    assert again.tobytes() == expected
+
+
+def test_negative_spectrum_raises_on_every_call():
+    calls = []
+
+    def not_positive_definite(hurst, lag):
+        calls.append(hurst)
+        lag = np.asarray(lag)
+        return np.where(lag == 0, 1.0, np.where(lag == 1, 2.0, 0.0))
+
+    spec = ProcessSpec("fgn", length=16, seed=3, hurst=0.37)
+    _clear_memos()
+    with mock.patch.object(processes, "fgn_autocovariance", not_positive_definite):
+        for attempt in range(3):
+            with pytest.raises(NumericalError, match="negative spectrum"):
+                generate(replace(spec, seed=attempt))
+    assert len(calls) == 3
+    assert processes._fgn_amplitudes.cache_info().currsize == 0
+    assert generate(spec).tobytes() == _reference_generate(spec).tobytes()
