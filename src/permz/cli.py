@@ -31,7 +31,7 @@ from .experiments import (
     read_text, render_table, run_ensemble, run_experiment, write_text,
 )
 from .ordinal import lehmer_decode, pattern_census, visible_curve
-from .processes import KINDS, ProcessSpec, generate, realization_specs
+from .processes import KINDS, NUMERIC_PARAMS, ProcessSpec, generate, realization_specs
 
 __all__ = ["main", "read_series", "write_series"]
 
@@ -144,11 +144,6 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
     return _check_alpha_labels(_check_alpha(a) for a in alphas)
 
 
-# the generator parameters a spec takes from options of the same name
-_PROCESS_PARAMS = (("hurst", float), ("amplitude", float), ("x0", float),
-                   ("period", int), ("delta", float), ("sigma", float))
-
-
 def _add_process_args(parser: argparse.ArgumentParser, require: bool = False):
     parser.add_argument("--process", choices=KINDS, required=require,
                         help="generator kind")
@@ -156,7 +151,7 @@ def _add_process_args(parser: argparse.ArgumentParser, require: bool = False):
                         help="series length T (entropy defaults to 50000, "
                         "decay to 7000 when generating)")
     parser.add_argument("--seed", type=int, help="stream seed")
-    for name, kind in _PROCESS_PARAMS:
+    for name, kind in NUMERIC_PARAMS.items():  # a spec takes them by name
         parser.add_argument(f"--{name}", type=kind, default=None)
     parser.add_argument("--no-dither", action="store_true",
                         help="disable the anti-cycling dither (piecewise-linear only)")
@@ -169,7 +164,7 @@ def _spec_from_args(args, default_length: int | None = None) -> ProcessSpec:
     if length is None:
         raise ValidationError("--length is required with --process")
     args.seed = 0 if args.seed is None else args.seed  # the sidecar records it
-    params = {name: getattr(args, name) for name, _ in _PROCESS_PARAMS}
+    params = {name: getattr(args, name) for name in NUMERIC_PARAMS}
     return ProcessSpec(kind=args.process, length=length, seed=args.seed,
                        dither=not args.no_dither, **params)
 
@@ -195,8 +190,7 @@ def _load_sources(args, default_length: int | None = None,
     realizations of a process spec, whose defaults are set on ``args`` for
     the sidecar (``--realizations`` ``default_count``, ``--seed`` 0)."""
     if args.input:
-        names = ("process", "length", "seed", "realizations",
-                 *(name for name, _ in _PROCESS_PARAMS))
+        names = ("process", "length", "seed", "realizations", *NUMERIC_PARAMS)
         given = [f"--{name}" for name in names
                  if getattr(args, name, None) is not None]
         if args.no_dither:

@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ValidationError
+from .errors import DataError, NumericalError, ValidationError, _float
 from .ordinal import PatternDistribution, _check_order
 
 __all__ = [
@@ -62,7 +62,7 @@ def lambert_w(x: float) -> float:
     branch point, ``ln x - ln ln x`` for large ``x``) are polished by
     Halley iteration to ``|y e^y - x| <= 1e-13 * max(1, |x|)``.
     """
-    x = float(x)
+    x = _float(x)
     if not math.isfinite(x):
         raise ValidationError("lambert_w argument must be finite")
     if x < _BRANCH_POINT:
@@ -101,11 +101,15 @@ def lambert_w(x: float) -> float:
     raise NumericalError(f"lambert_w did not converge for x={x}")
 
 
+def _check_iterations(n) -> None:
+    if not isinstance(n, Integral) or n < 0:
+        raise ValidationError("iteration count must be a nonnegative integer")
+
+
 def exp_iterated(x: float, n: int) -> float:
     """``exp`` composed ``n`` times.  Raises on float overflow rather
     than returning infinity."""
-    if n < 0:
-        raise ValidationError("iteration count must be nonnegative")
+    _check_iterations(n)
     v = float(x)
     for _ in range(n):
         if v > _EXP_MAX:
@@ -117,12 +121,11 @@ def exp_iterated(x: float, n: int) -> float:
 def log_iterated(x: float, n: int) -> float:
     """``log`` composed ``n`` times; domain error if any stage hits a
     non-positive value."""
-    if n < 0:
-        raise ValidationError("iteration count must be nonnegative")
-    v = float(x)
+    _check_iterations(n)
+    v = _float(x)  # nan beyond the double range fails the domain check
     for _ in range(n):
-        if v <= 0.0:
-            raise ValidationError(f"log_iterated domain: reached {v} <= 0")
+        if not v > 0.0:
+            raise ValidationError(f"log_iterated domain: reached {v}, not > 0")
         v = math.log(v)
     return v
 
@@ -143,7 +146,7 @@ def lambert_n(x: float, n: int) -> float:
     """
     if not isinstance(n, Integral) or n < 1:
         raise ValidationError("n must be an integer >= 1")
-    x = float(x)
+    x = _float(x)
     if not math.isfinite(x):
         raise ValidationError("lambert_n argument must be finite")
     if n == 1:
@@ -221,14 +224,15 @@ class ComplexityClass:
         # exp^(5)(0), the g^{-1}(0) of n = 5, overflows a double
         if not isinstance(self.n, Integral) or not 0 <= self.n <= 4:
             raise ValidationError("class order n must be an integer from 0 to 4")
-        if not (math.isfinite(self.c) and self.c > 0):
+        if not (isinstance(self.c, Real) and math.isfinite(_float(self.c))
+                and self.c > 0):
             raise ValidationError("class constant c must be finite and > 0")
         if self.c > 1 and self.n >= 1 or self.c != 1 and self.n >= 2:
             raise ValidationError("class constant c must be <= 1 at n = 1, 1 at n >= 2")
 
     @classmethod
     def exponential(cls, c: float) -> "ComplexityClass":
-        return cls(float(c), 0)
+        return cls(_float(c), 0)
 
     @classmethod
     def factorial(cls) -> "ComplexityClass":
@@ -238,7 +242,7 @@ class ComplexityClass:
     def sub_factorial(cls, c: float) -> "ComplexityClass":
         if c == 1:  # (1, 1) is the factorial class
             raise ValidationError("sub-factorial class requires 0 < c < 1")
-        return cls(float(c), 1)
+        return cls(_float(c), 1)
 
     @classmethod
     def sub_iterated_log(cls, n: int) -> "ComplexityClass":
@@ -321,7 +325,7 @@ def _as_probabilities(dist) -> np.ndarray:
 def _check_alpha(alpha, positive: bool = False) -> float:
     """The alpha guard: a finite real >= 0, or > 0 for a Z-entropy (whose
     alpha = 0 case is :func:`z_topological`); returns alpha as a float."""
-    alpha = float(alpha)
+    alpha = _float(alpha)
     if not math.isfinite(alpha) or alpha < 0 or positive and alpha == 0:
         raise ValidationError(f"alpha must be finite and {'>' if positive else '>='} 0")
     return alpha

@@ -2,7 +2,8 @@
 
 Three categories, mirroring the CLI exit codes: bad arguments or
 parameters (exit 2), bad or insufficient data (exit 3), and numerical
-failures such as overflow or non-convergence (exit 4).
+failures such as overflow or non-convergence (exit 4).  Numeric guards
+convert with :func:`_float`, so that they raise the first category.
 """
 
 
@@ -30,3 +31,12 @@ class NumericalError(PermzError, ArithmeticError):
     not reach its residual target."""
 
     exit_code = 4
+
+
+def _float(value) -> float:
+    """``float(value)``, or nan where ``float`` refuses the value or
+    overflows on it, so that a guard's finite check raises its own error."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return float("nan")

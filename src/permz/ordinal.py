@@ -169,7 +169,7 @@ def lehmer_encode(pattern) -> int:
 def lehmer_decode(code: int, length: int) -> tuple[int, ...]:
     """Inverse of :func:`lehmer_encode`."""
     _check_order(length, hi=inf)
-    if not 0 <= code < factorial(length):
+    if not isinstance(code, Integral) or not 0 <= code < factorial(length):
         raise ValidationError(f"code {code} out of range for length {length}")
     remaining = list(range(length))
     out = []

@@ -38,14 +38,14 @@ bit-identical to uncached ones; each pool worker fills its own memos.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from numbers import Integral, Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _float
 from .rng import Stream
 
 __all__ = [
@@ -59,17 +59,22 @@ __all__ = [
     "dither_kicks",
 ]
 
-KINDS = (
-    "white-noise",
-    "fgn",
-    "fbm",
-    "noisy-logistic",
-    "noisy-schuster",
-    "xp",
-    "piecewise-linear",
-    "logistic",
-    "shift",
-)
+# the parameters each kind takes; every other parameter keeps its default
+_TAKES = {
+    "white-noise": (),
+    "fgn": ("hurst",),
+    "fbm": ("hurst",),
+    "noisy-logistic": ("amplitude", "x0"),
+    "noisy-schuster": ("amplitude", "x0"),
+    "xp": ("period", "delta", "noiseless_residues"),
+    "piecewise-linear": ("sigma", "x0", "dither"),
+    "logistic": ("x0",),
+    "shift": (),
+}
+KINDS = tuple(_TAKES)
+# the numeric parameters with their types, in the CLI's option order
+NUMERIC_PARAMS = {"hurst": float, "amplitude": float, "x0": float,
+                  "period": int, "delta": float, "sigma": float}
 
 _DITHER_SCALE = 1e-14
 _DITHER_PERIOD = 10_000
@@ -78,7 +83,6 @@ _NOISE_AMPLITUDE = {"noisy-logistic": 0.30, "noisy-schuster": 0.25}
 _XP_AMPLITUDE_MARGIN = 1e-9  # keeps noise strictly below delta/2
 _PROC_SEED_STRIDE = 1_000_003
 _MEMO_KEYS = 8
-_REAL_FIELDS = ("hurst", "amplitude", "x0", "delta", "sigma")
 
 
 def _check_count(name: str, value) -> None:
@@ -109,9 +113,10 @@ def _check_residues(residues, p) -> tuple[int, ...]:
 class ProcessSpec:
     """Full description of one generator run.
 
-    Only the fields relevant to ``kind`` may be set; the rest must stay
-    ``None`` (``dither`` stays ``True``: only ``piecewise-linear`` is
-    dithered) so that a spec serializes without ambiguity.
+    Only the parameters ``_TAKES`` lists for ``kind`` may be set; the rest
+    keep their defaults (``None``, or ``True`` for ``dither``: only
+    ``piecewise-linear`` is dithered) so that a spec serializes without
+    ambiguity.
     """
 
     kind: str
@@ -133,28 +138,16 @@ class ProcessSpec:
             )
         _check_count("length", self.length)
         _check_seed(self.seed)
-        allowed = {
-            "white-noise": set(),
-            "fgn": {"hurst"},
-            "fbm": {"hurst"},
-            "noisy-logistic": {"amplitude", "x0"},
-            "noisy-schuster": {"amplitude", "x0"},
-            "xp": {"period", "delta", "noiseless_residues"},
-            "piecewise-linear": {"sigma", "x0", "dither"},
-            "logistic": {"x0"},
-            "shift": set(),
-        }[self.kind]
-        for field in ("hurst", "amplitude", "x0", "period", "delta",
-                      "noiseless_residues", "sigma", "dither"):
+        takes = _TAKES[self.kind]
+        for field, unset in _DEFAULTS.items():
             value = getattr(self, field)
-            unset = True if field == "dither" else None  # the default
-            if field not in allowed and value is not unset:
+            if field not in takes and value is not unset:
                 raise ValidationError(
                     f"parameter {field!r} does not apply to kind {self.kind!r}"
                 )
-            if isinstance(value, Real) and not math.isfinite(value):
+            if isinstance(value, Real) and not math.isfinite(_float(value)):
                 raise ValidationError(f"{field} must be finite")
-            if field in _REAL_FIELDS and value is not None:
+            if NUMERIC_PARAMS.get(field) is float and value is not None:
                 if not isinstance(value, Real):
                     raise ValidationError(f"{field} must be a real number")
                 # a Python float: a numpy float32 would iterate a map in
@@ -164,19 +157,18 @@ class ProcessSpec:
         if self.kind in ("fgn", "fbm"):
             if self.hurst is None or not 0.0 < self.hurst < 1.0:
                 raise ValidationError("hurst must lie strictly inside (0, 1)")
-        if self.kind in ("noisy-logistic", "noisy-schuster"):
-            if self.amplitude is not None and self.amplitude < 0:
-                raise ValidationError("amplitude must be nonnegative")
+        if self.amplitude is not None and self.amplitude < 0:
+            raise ValidationError("amplitude must be nonnegative")
         if self.kind in ("noisy-logistic", "noisy-schuster", "logistic"):
             if self.x0 is not None and not 0.0 < self.x0 < 1.0:
                 raise ValidationError("x0 must lie inside (0, 1)")
         if self.kind == "xp":
             _check_period(self.period)
-            if self.delta is not None and not self.delta > 0:
-                raise ValidationError("delta must be positive")
-            if self.noiseless_residues is not None:
-                object.__setattr__(self, "noiseless_residues", _check_residues(
-                    self.noiseless_residues, self.period))
+        if self.delta is not None and not self.delta > 0:
+            raise ValidationError("delta must be positive")
+        if self.noiseless_residues is not None:
+            object.__setattr__(self, "noiseless_residues", _check_residues(
+                self.noiseless_residues, self.period))
         if self.kind == "piecewise-linear":
             if self.sigma is None or not self.sigma > 1.0:
                 raise ValidationError("sigma must exceed 1")
@@ -197,6 +189,9 @@ class ProcessSpec:
         if self.kind == "piecewise-linear":
             return (math.log(self.sigma), math.log(self.sigma))
         return None
+
+
+_DEFAULTS = {f.name: f.default for f in fields(ProcessSpec)[3:]}  # hurst .. dither
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -355,11 +350,10 @@ def _xp_series(spec: ProcessSpec, stream: Stream) -> np.ndarray:
         (p - 1,) if spec.noiseless_residues is None else spec.noiseless_residues
     )
     amplitude = delta / 2.0 - _XP_AMPLITUDE_MARGIN * delta
-    t = np.arange(spec.length)
-    phase = t % p
+    levels = min(p, spec.length)  # the phases the series reaches
+    phase = np.arange(spec.length) % levels
     zeta = amplitude * (2.0 * stream.uniforms(spec.length) - 1.0)
-    if residues:
-        zeta[np.isin(np.arange(p), residues)[phase]] = 0.0
+    zeta[np.isin(np.arange(levels), residues)[phase]] = 0.0
     return delta * phase + zeta
 
 

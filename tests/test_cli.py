@@ -222,6 +222,14 @@ def test_generate_nonfinite_parameter_exits_2(argv, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_generate_xp_period_beyond_the_series():
+    # ended in an OverflowError traceback, exit 1
+    far = run_cli("generate", "--process", "xp", "--length", "5",
+                  "--period", "1000000000000000000000")
+    near = run_cli("generate", "--process", "xp", "--length", "5", "--period", "6")
+    assert far == near and far[0] == 0
+
+
 def test_generate_stdout():
     code, out = run_cli("generate", "--process", "white-noise",
                         "--length", "5", "--seed", "3")

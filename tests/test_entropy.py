@@ -12,14 +12,17 @@ from permz.entropy import (
     _check_alpha_labels,
     entropy_rate_estimate,
     exp_iterated,
+    lambert_n,
     lambert_w,
+    log_iterated,
     renyi_entropy,
     z_entropy,
     z_topological,
 )
 from permz.analysis import xp_distribution
+from permz.experiments import ExperimentConfig
 from permz.errors import DataError, NumericalError, ValidationError
-from permz.ordinal import pattern_census
+from permz.ordinal import lehmer_decode, pattern_census
 from permz.processes import ProcessSpec, generate
 
 
@@ -264,6 +267,31 @@ def test_iterated_log_class_matches_the_family_oracle(n, s):
 ])
 def test_out_of_domain_class_or_alpha_raises_validation_error(call):
     with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: renyi_entropy([0.5, 0.5], None), "alpha must be finite"),
+    (lambda: renyi_entropy([0.5, 0.5], "x"), "alpha must be finite"),
+    (lambda: renyi_entropy([0.5, 0.5], 10**400), "alpha must be finite"),
+    (lambda: ExperimentConfig(alphas=(10**400,)), "alpha must be finite"),
+    (lambda: lambert_w(None), "lambert_w argument must be finite"),
+    (lambda: lambert_w(10**400), "lambert_w argument must be finite"),
+    (lambda: lambert_n(10**400, 2), "lambert_n argument must be finite"),
+    (lambda: ComplexityClass("1", 1), "class constant c must be finite"),
+    (lambda: ComplexityClass(10**400, 0), "class constant c must be finite"),
+    (lambda: ComplexityClass.exponential(None), "class constant c must be finite"),
+    (lambda: exp_iterated(1, 1.5), "iteration count must be a nonnegative integer"),
+    (lambda: log_iterated(10**400, 1), "log_iterated domain"),
+    (lambda: lehmer_decode(1.5, 3), "code 1.5 out of range for length 3"),
+    (lambda: lehmer_decode("1", 3), "code 1 out of range for length 3"),
+], ids=["renyi-None", "renyi-str", "renyi-10**400", "config-10**400", "w-None",
+        "w-10**400", "wn-10**400", "class-str", "class-10**400", "class-exp-None",
+        "exp-1.5", "log-10**400", "decode-1.5", "decode-str"])
+def test_numeric_guards_raise_their_own_validation_error(call, message):
+    # each raised a TypeError, ValueError or OverflowError from float(),
+    # range() or a comparison before its guard could fire
+    with pytest.raises(ValidationError, match=message):
         call()
 
 

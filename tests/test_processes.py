@@ -67,6 +67,55 @@ def test_length_and_period_must_be_integers():
     assert np.array_equal(generate(spec), generate(plain))
 
 
+# the parameters each kind takes, written out here so that the kind table
+# in processes.py is checked against an independent copy
+TAKES = {
+    "white-noise": set(),
+    "fgn": {"hurst"},
+    "fbm": {"hurst"},
+    "noisy-logistic": {"amplitude", "x0"},
+    "noisy-schuster": {"amplitude", "x0"},
+    "xp": {"period", "delta", "noiseless_residues"},
+    "piecewise-linear": {"sigma", "x0", "dither"},
+    "logistic": {"x0"},
+    "shift": set(),
+}
+REQUIRED = {"fgn": {"hurst": 0.3}, "fbm": {"hurst": 0.3}, "xp": {"period": 3},
+            "piecewise-linear": {"sigma": 2.5}}
+IN_RANGE = {"hurst": 0.3, "amplitude": 0.1, "x0": 0.4, "period": 3, "delta": 0.5,
+            "noiseless_residues": (0,), "sigma": 2.5, "dither": False}
+
+
+def test_kind_table_lists_every_kind_in_order():
+    assert KINDS == tuple(TAKES)
+
+
+@pytest.mark.parametrize("field", IN_RANGE)
+@pytest.mark.parametrize("kind", TAKES)
+def test_each_kind_takes_exactly_its_parameters(kind, field):
+    params = {**REQUIRED.get(kind, {}), field: IN_RANGE[field]}
+    if field in TAKES[kind]:
+        spec = ProcessSpec(kind, length=5, **params)
+        assert getattr(spec, field) == IN_RANGE[field]
+    else:
+        with pytest.raises(ValidationError) as info:
+            ProcessSpec(kind, length=5, **params)
+        assert str(info.value) == (
+            f"parameter {field!r} does not apply to kind {kind!r}")
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("fgn", "hurst must lie strictly inside (0, 1)"),
+    ("fbm", "hurst must lie strictly inside (0, 1)"),
+    ("xp", "period must be an integer >= 2"),
+    ("piecewise-linear", "sigma must exceed 1"),
+])
+def test_a_missing_required_parameter_is_named(kind, message):
+    with pytest.raises(ValidationError) as info:
+        ProcessSpec(kind, length=5)
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
 @pytest.mark.parametrize("kind, field, extra", [
     ("fbm", "hurst", {}),
     ("noisy-logistic", "amplitude", {}),
@@ -81,6 +130,21 @@ def test_real_parameters_must_be_finite(kind, field, extra, value):
     # one-sided ones; either would be written out as a series of nan
     with pytest.raises(ValidationError):
         ProcessSpec(kind, length=3, **extra, **{field: value})
+
+
+@pytest.mark.parametrize("kind, field, extra", [
+    ("fgn", "hurst", {}),
+    ("noisy-logistic", "amplitude", {}),
+    ("noisy-logistic", "x0", {}),
+    ("xp", "delta", {"period": 3}),
+    ("piecewise-linear", "sigma", {}),
+])
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["+1e400", "-1e400"])
+def test_real_parameters_beyond_the_double_range_are_not_finite(
+        kind, field, extra, value):
+    # math.isfinite raised a bare OverflowError on such an int
+    with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
+        ProcessSpec(kind, length=5, **extra, **{field: value})
 
 
 @pytest.mark.parametrize("kind, field, value, extra", [
@@ -280,6 +344,14 @@ def test_xp_custom_noiseless_residues():
     phase = np.arange(300) % 3
     assert np.all(x[phase == 0] == 0.0)
     assert np.all(x[phase == 2] == 2.0)
+
+
+def test_xp_period_beyond_the_series_takes_no_period_sized_table():
+    # the residue mask was an O(period) table: a period of 10**21 overflowed
+    # int64 and one of 10**9 would have allocated 8 GB for 50 samples
+    far = generate(ProcessSpec("xp", length=50, seed=3, period=10**21))
+    near = generate(ProcessSpec("xp", length=50, seed=3, period=51))
+    assert far.tobytes() == near.tobytes()
 
 
 def test_xp_alternating_has_both_two_patterns():
