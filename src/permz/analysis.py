@@ -263,8 +263,7 @@ def xp_pattern_probabilities(
     """
     _check_period(p)
     _check_order(L, hi=math.inf)
-    residues = ((p - 1,) if noiseless_residues is None
-                else _check_residues(noiseless_residues, p))
+    residues = _check_residues(noiseless_residues, p)
     out: dict[tuple[int, ...], Fraction] = {}
     for start in range(p):
         groups = [

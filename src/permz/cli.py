@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, ordinal
 from .analysis import fit_decay, xp_distribution
-from .entropy import ComplexityClass, _check_alpha, _check_alpha_labels
+from .entropy import ComplexityClass, _check_alpha_labels
 from .errors import DataError, PermzError, ValidationError
 from .experiments import (
     EXPERIMENTS, ExperimentConfig, entropy_cells, mean_curve, missing_curves,
@@ -141,7 +141,7 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
         alphas = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValidationError(f"bad alpha list {text!r}") from None
-    return _check_alpha_labels(_check_alpha(a) for a in alphas)
+    return _check_alpha_labels(alphas)
 
 
 def _add_process_args(parser: argparse.ArgumentParser, require: bool = False):

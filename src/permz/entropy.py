@@ -110,7 +110,9 @@ def exp_iterated(x: float, n: int) -> float:
     """``exp`` composed ``n`` times.  Raises on float overflow rather
     than returning infinity."""
     _check_iterations(n)
-    v = float(x)
+    v = _float(x)
+    if not math.isfinite(v):
+        raise ValidationError("exp_iterated argument must be finite")
     for _ in range(n):
         if v > _EXP_MAX:
             raise NumericalError(f"exp_iterated overflow: exp({v}) is not finite")
@@ -227,6 +229,8 @@ class ComplexityClass:
         if not (isinstance(self.c, Real) and math.isfinite(_float(self.c))
                 and self.c > 0):
             raise ValidationError("class constant c must be finite and > 0")
+        # a Python float: a numpy float32 c would compute z in float32
+        object.__setattr__(self, "c", float(self.c))
         if self.c > 1 and self.n >= 1 or self.c != 1 and self.n >= 2:
             raise ValidationError("class constant c must be <= 1 at n = 1, 1 at n >= 2")
 
@@ -240,15 +244,17 @@ class ComplexityClass:
 
     @classmethod
     def sub_factorial(cls, c: float) -> "ComplexityClass":
-        if c == 1:  # (1, 1) is the factorial class
+        law = cls(_float(c), 1)
+        if law.c == 1:  # (1, 1) is the factorial class
             raise ValidationError("sub-factorial class requires 0 < c < 1")
-        return cls(_float(c), 1)
+        return law
 
     @classmethod
     def sub_iterated_log(cls, n: int) -> "ComplexityClass":
-        if n < 2:  # (1, 0) and (1, 1) are the exponential and factorial classes
+        law = cls(1.0, n)
+        if law.n < 2:  # (1, 0) and (1, 1) are the exponential and factorial classes
             raise ValidationError("iterated-log class requires integer 2 <= n <= 4")
-        return cls(1.0, n)
+        return law
 
     @classmethod
     def parse(cls, token: str) -> "ComplexityClass":
@@ -331,11 +337,12 @@ def _check_alpha(alpha, positive: bool = False) -> float:
     return alpha
 
 
-def _check_alpha_labels(alphas) -> tuple[float, ...]:
-    """The label guard: tables, file names and summary keys name an alpha
-    by ``f"{alpha:g}"``, so different alphas may not share a label (one
-    alpha given twice may); returns the alphas."""
-    alphas = tuple(alphas)
+def _check_alpha_labels(alphas, positive: bool = False) -> tuple[float, ...]:
+    """The alpha-list guard: :func:`_check_alpha` on each alpha, then the
+    label check: tables, file names and summary keys name an alpha by
+    ``f"{alpha:g}"``, so different alphas may not share a label (one alpha
+    given twice may); returns the alphas as a tuple of floats."""
+    alphas = tuple(_check_alpha(a, positive) for a in alphas)
     distinct = set(alphas)
     if len({f"{a:g}" for a in distinct}) < len(distinct):
         raise ValidationError(f"different alphas share a :g label in {list(alphas)}")

@@ -54,7 +54,7 @@ import numpy as np
 from . import __version__, entropy, ordinal
 from .analysis import fit_decay, xp_allowed_count, xp_class_constant
 from .entropy import (
-    ComplexityClass, _check_alpha, _check_alpha_labels, z_topological,
+    ComplexityClass, _check_alpha_labels, z_topological,
 )
 from .entropy import z_entropy  # noqa: F401 -- perfbench traces this binding
 from .errors import DataError, PermzError, ValidationError
@@ -69,8 +69,6 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "ExperimentResult", "run_experimen
            "run_ensemble", "pool_size", "mean_curve", "entropy_cells",
            "missing_curves", "render_table", "read_text", "write_text",
            "FACTORIAL_PROCESSES", "TABLE2_REFERENCE"]
-
-EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "table1", "table2")
 
 FACTORIAL_PROCESSES: tuple[tuple[str, ProcessSpec], ...] = (
     ("white-noise", ProcessSpec("white-noise", length=1)),
@@ -118,14 +116,15 @@ class ExperimentConfig:
         _check_seed(self.seed)
         if self.t_max is not None:
             _check_count("t_max", self.t_max)
-        for name in ("orders", "alphas"):
+        for name in ("orders", "alphas"):  # tuples, so that a config hashes
+            object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ValidationError(f"{name} must not be empty")
         for L in self.orders:
             ordinal._check_order(L)
-        for alpha in self.alphas:
-            _check_alpha(alpha, positive=True)
-        _check_alpha_labels(self.alphas)
+        # Python ints: the JSON metadata would write a numpy integer as a string
+        object.__setattr__(self, "orders", tuple(map(int, self.orders)))
+        object.__setattr__(self, "alphas", _check_alpha_labels(self.alphas, positive=True))
 
 
 @dataclass
@@ -422,6 +421,7 @@ _RUNNERS = {
     "table1": (_experiment_table1, 7_000, 6),
     "table2": (_experiment_table2, None, None),
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(

@@ -102,8 +102,10 @@ def _check_period(p) -> None:
 
 def _check_residues(residues, p) -> tuple[int, ...]:
     """The residue guard: a sequence of integers in ``0..p-1``, returned as
-    a tuple."""
-    residues = tuple(residues) if np.iterable(residues) else (None,)  # None fails
+    a tuple; None gives the default, the one residue ``p - 1``."""
+    if residues is None:
+        return (p - 1,)
+    residues = tuple(residues) if np.iterable(residues) else (None,)  # (None,) fails
     if any(not isinstance(r, Integral) or not 0 <= r < p for r in residues):
         raise ValidationError(f"residues must be integers in 0..{p - 1}")
     return residues
@@ -346,9 +348,7 @@ def _shift_series(n: int, stream: Stream) -> np.ndarray:
 def _xp_series(spec: ProcessSpec, stream: Stream) -> np.ndarray:
     p = spec.period
     delta = 1.0 if spec.delta is None else spec.delta
-    residues = (
-        (p - 1,) if spec.noiseless_residues is None else spec.noiseless_residues
-    )
+    residues = _check_residues(spec.noiseless_residues, p)
     amplitude = delta / 2.0 - _XP_AMPLITUDE_MARGIN * delta
     levels = min(p, spec.length)  # the phases the series reaches
     phase = np.arange(spec.length) % levels

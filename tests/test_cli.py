@@ -270,6 +270,16 @@ def test_census_from_file(tmp_path):
     assert probs == {0: 0.5, 1: 0.5}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("census", "--order", "3"), "a --process kind is required here"),
+    (("census", "--process", "white-noise", "--order", "3"),
+     "--length is required with --process"),
+], ids=["no-process", "no-length"])
+def test_census_without_a_process_or_its_length_exits_2(argv, message, capsys):
+    assert run_cli(*argv) == (2, "")
+    assert message in capsys.readouterr().err
+
+
 def test_census_too_short_exits_3(tmp_path, capsys):
     path = tmp_path / "tiny.txt"
     write_series(str(path), np.array([1.0, 2.0]))
@@ -413,6 +423,15 @@ def test_experiment_fig3_small(tmp_path):
     assert header[0] == "T" and rows[0][0] == "6" and rows[-1][0] == "50"
 
 
+def test_table2_mismatch_exits_3_after_its_summary(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(permz.experiments.TABLE2_REFERENCE[2], 2, 3)  # the count is 2
+    code, out = run_cli("experiment", "table2", "--output-dir", str(tmp_path))
+    assert code == 3
+    assert "  all_match: False\n" in out and "  mismatches: [(2, 2, 2, 3)]\n" in out
+    assert ("table2 mismatches against the embedded reference: [(2, 2, 2, 3)]"
+            in capsys.readouterr().err)
+
+
 def test_experiment_unknown_name_exits_2():
     code, _ = run_cli("experiment", "fig9")  # argparse rejects the choice
     assert code == 2
@@ -515,6 +534,7 @@ def test_experiment_fig1_takes_orders(tmp_path):
     (("census", "--order", "21"), "--order"),
     (("entropy", "--class", "subn:5"), "from 0 to 4"),
     (("generate", "--no-dither"), "'dither' does not apply to kind 'white-noise'"),
+    (("entropy", "--orders", "7:3"), "the range is empty"),
 ])
 def test_bad_parameter_exits_2_before_any_series_is_generated(
         argv, named, monkeypatch, tmp_path, capsys):

@@ -282,17 +282,74 @@ def test_out_of_domain_class_or_alpha_raises_validation_error(call):
     (lambda: ComplexityClass(10**400, 0), "class constant c must be finite"),
     (lambda: ComplexityClass.exponential(None), "class constant c must be finite"),
     (lambda: exp_iterated(1, 1.5), "iteration count must be a nonnegative integer"),
+    (lambda: exp_iterated(10**400, 1), "exp_iterated argument must be finite"),
+    (lambda: exp_iterated(-10**400, 1), "exp_iterated argument must be finite"),
+    (lambda: exp_iterated(math.nan, 1), "exp_iterated argument must be finite"),
+    (lambda: exp_iterated(math.inf, 1), "exp_iterated argument must be finite"),
+    (lambda: exp_iterated(-math.inf, 1), "exp_iterated argument must be finite"),
+    (lambda: exp_iterated(None, 1), "exp_iterated argument must be finite"),
+    (lambda: exp_iterated("x", 1), "exp_iterated argument must be finite"),
     (lambda: log_iterated(10**400, 1), "log_iterated domain"),
     (lambda: lehmer_decode(1.5, 3), "code 1.5 out of range for length 3"),
     (lambda: lehmer_decode("1", 3), "code 1 out of range for length 3"),
 ], ids=["renyi-None", "renyi-str", "renyi-10**400", "config-10**400", "w-None",
         "w-10**400", "wn-10**400", "class-str", "class-10**400", "class-exp-None",
-        "exp-1.5", "log-10**400", "decode-1.5", "decode-str"])
+        "exp-1.5", "exp-10**400", "exp--10**400", "exp-nan", "exp-inf", "exp--inf",
+        "exp-None", "exp-str", "log-10**400", "decode-1.5", "decode-str"])
 def test_numeric_guards_raise_their_own_validation_error(call, message):
     # each raised a TypeError, ValueError or OverflowError from float(),
     # range() or a comparison before its guard could fire
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ComplexityClass(2.0, 1), ValidationError,
+     "class constant c must be <= 1 at n = 1, 1 at n >= 2"),
+    (lambda: ComplexityClass(0.5, 2), ValidationError,
+     "class constant c must be <= 1 at n = 1, 1 at n >= 2"),
+    (lambda: ComplexityClass.factorial().inverse(-1.0), ValidationError,
+     "inverse growth is only used for s >= 0"),
+    (lambda: renyi_entropy([], 1.0), DataError, "empty probability vector"),
+    (lambda: renyi_entropy([math.nan, 1.0], 1.0), DataError,
+     "probabilities must be finite"),
+], ids=["c-2-n-1", "c-0.5-n-2", "inverse-negative", "renyi-empty", "renyi-nan-mass"])
+def test_each_class_and_distribution_guard_gives_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    # "2" < 2 raised a TypeError before the constructor checked n
+    (lambda: ComplexityClass.sub_iterated_log("2"),
+     "class order n must be an integer from 0 to 4"),
+    # "1" == 1 is False, so these returned the factorial class (1.0, 1)
+    (lambda: ComplexityClass.sub_factorial("1"), "sub-factorial class requires 0 < c < 1"),
+    (lambda: ComplexityClass.sub_factorial("1.0"),
+     "sub-factorial class requires 0 < c < 1"),
+    (lambda: ComplexityClass.sub_iterated_log(5),
+     "class order n must be an integer from 0 to 4"),
+    (lambda: ComplexityClass.sub_factorial(2),
+     "class constant c must be <= 1 at n = 1, 1 at n >= 2"),
+    (lambda: ComplexityClass.sub_iterated_log(1),
+     "iterated-log class requires integer 2 <= n <= 4"),
+], ids=["subn-str", "sub-str-1", "sub-str-1.0", "subn-5", "sub-2", "subn-1"])
+def test_class_aliases_are_refused_after_the_constructor_checks(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("c, n", [(0.5, 1), (0.25, 0), (0.1, 1), (1.0, 3)])
+def test_class_constant_is_stored_as_a_python_float(c, n):
+    # a float32 c compared and hashed equal to its float64 value, yet
+    # computed z in float32: 1.4524171849870915 for 1.4524171598516924
+    single = ComplexityClass(np.float32(c), n)
+    double = ComplexityClass(float(np.float32(c)), n)
+    assert type(single.c) is float and single == double
+    assert type(single.z(1.1)) is float
+    assert repr(single.z(1.1)) == repr(double.z(1.1))
 
 
 @pytest.mark.parametrize("cls, token", [

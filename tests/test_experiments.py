@@ -2,6 +2,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +157,37 @@ def test_orders_are_checked_where_the_config_is_made(orders, monkeypatch):
 def test_table2_ignores_t_max():
     result = run_experiment("table2", ExperimentConfig(t_max=1))
     assert result.summary["all_match"]
+
+
+def test_an_unknown_experiment_names_the_six():
+    with pytest.raises(ValidationError) as info:
+        run_experiment("fig9")
+    assert str(info.value) == (
+        "unknown experiment 'fig9'; choose from fig1, fig2, fig3, fig4, table1, table2")
+
+
+@pytest.mark.parametrize("orders, alphas", [
+    (np.array([3, 4]), np.array([0.5, 1.0])),
+    ([3, 4], [0.5, 1]),
+    (np.array([3, 4], dtype=np.int32), (np.float32(0.5), np.float64(1.0))),
+    ((3, 4), ("0.5", "1")),
+], ids=["arrays", "lists", "numpy-scalars", "alpha-strings"])
+def test_config_stores_its_lists_as_tuples(orders, alphas, tmp_path):
+    # an array raised "The truth value of an array ... is ambiguous", a list
+    # left the frozen config unhashable, and a string alpha passed the alpha
+    # check but not the :g label
+    config = ExperimentConfig(orders=orders, alphas=alphas, realizations=1, t_max=400)
+    plain = ExperimentConfig(orders=(3, 4), alphas=(0.5, 1.0), realizations=1, t_max=400)
+    assert config == plain and hash(config) == hash(plain)
+    assert [type(v) for v in config.orders + config.alphas] == [int, int, float, float]
+    written = []
+    for name, cfg in (("given", config), ("plain", plain)):
+        result = run_experiment("fig1", cfg, tmp_path / name)
+        meta = json.loads((tmp_path / name / "fig1_metadata.json").read_text())
+        written.append((result.tables, meta["config"], sorted(
+            (Path(f).name, Path(f).read_bytes()) for f in result.files
+            if f.endswith(".csv"))))
+    assert written[0] == written[1]
 
 
 def test_fractional_jobs_raise_validation_error_before_any_member():

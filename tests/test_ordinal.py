@@ -167,6 +167,8 @@ def test_pattern_distribution_invariants():
         PatternDistribution(order=3, counts={0: 3, 1: -1}, total_windows=2)
     with pytest.raises(DataError):
         PatternDistribution(order=3, counts={}, total_windows=1)
+    with pytest.raises(DataError, match="census with no windows"):
+        PatternDistribution(3, {}, 0)
     # a code beyond int64 is out of range for every order a census takes
     with pytest.raises(ValidationError):
         PatternDistribution(order=3, counts={2**70: 1}, total_windows=1)

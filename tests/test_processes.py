@@ -116,6 +116,17 @@ def test_a_missing_required_parameter_is_named(kind, message):
     assert type(info.value) is ValidationError and str(info.value) == message
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("noisy-logistic", {"amplitude": -0.1}, "amplitude must be nonnegative"),
+    ("logistic", {"x0": 1.0}, "x0 must lie inside (0, 1)"),
+    ("piecewise-linear", {"sigma": 2.5, "x0": 1.5}, "x0 must lie in [0, 1]"),
+])
+def test_a_parameter_outside_its_range_is_named(kind, params, message):
+    with pytest.raises(ValidationError) as info:
+        ProcessSpec(kind, 5, **params)
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
 @pytest.mark.parametrize("kind, field, extra", [
     ("fbm", "hurst", {}),
     ("noisy-logistic", "amplitude", {}),
