@@ -117,7 +117,10 @@ class ExperimentConfig:
         if self.t_max is not None:
             _check_count("t_max", self.t_max)
         for name in ("orders", "alphas"):  # tuples, so that a config hashes
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            if value is not None and not np.iterable(value):
+                raise ValidationError(f"{name} must be a sequence")
+            object.__setattr__(self, name, () if value is None else tuple(value))
             if not getattr(self, name):
                 raise ValidationError(f"{name} must not be empty")
         for L in self.orders:

@@ -190,6 +190,18 @@ def test_config_stores_its_lists_as_tuples(orders, alphas, tmp_path):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"orders": None}, "orders must not be empty"),
+    ({"alphas": None}, "alphas must not be empty"),
+    ({"orders": 5}, "orders must be a sequence"),  # was a bare TypeError
+    ({"alphas": 0.5}, "alphas must be a sequence"),
+])
+def test_config_lists_that_are_not_sequences_are_named(kwargs, message):
+    with pytest.raises(ValidationError) as info:
+        ExperimentConfig(**kwargs)
+    assert str(info.value) == message
+
+
 def test_fractional_jobs_raise_validation_error_before_any_member():
     with pytest.raises(ValidationError, match="at least 1"):
         pool_size(1.5, 2)
