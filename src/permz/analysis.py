@@ -11,6 +11,7 @@ maps (a seen-mask over the ``L!`` codes).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, permutations, product
@@ -314,13 +315,17 @@ def estimate_class_constant(counts, family: str) -> ClassConstantFit:
 # Forbidden patterns of deterministic maps
 # ---------------------------------------------------------------------------
 
-def _orbit_batch(spec: ProcessSpec, n_orbits: int, orbit_len: int) -> np.ndarray:
+def _orbit_batch(
+    spec: ProcessSpec, n_orbits: int, orbit_len: int
+) -> Iterable[np.ndarray]:
     """Orbits from random initial conditions, one row per orbit: shift orbit
     i is realization i of ``spec``; a map's initial conditions are drawn by
-    realization 0's stream and orbit i is kicked by realization i + 1's."""
+    realization 0's stream and orbit i is kicked by realization i + 1's.
+    Shift rows are generated one at a time, as they are taken; a map's
+    rows are one ``n_orbits x orbit_len`` float64 array."""
     if spec.kind == "shift":
         members = realization_specs(replace(spec, length=orbit_len), n_orbits)
-        return np.vstack([generate(member) for member in members])
+        return (generate(member) for member in members)
     x0 = 1e-6 + (1.0 - 2e-6) * Stream(member_seed(spec.seed, 0, 0)).uniforms(n_orbits)
     kicks = [dither_kicks(spec, member_seed(spec.seed, 0, i + 1), orbit_len)
              for i in range(n_orbits)]
@@ -336,7 +341,10 @@ def forbidden_patterns_of_map(
     The result is the complement of the union of visible patterns over
     ``n_orbits`` random initial conditions iterated ``orbit_len`` steps
     each -- an empirical "missing at this sampling effort" set, not a
-    proof of true forbiddenness.
+    proof of true forbiddenness.  The scan stops as soon as every pattern
+    has been seen.  Shift orbits are generated and scanned one at a time
+    (none past that stop); a map scan holds its orbits as one
+    ``n_orbits x orbit_len`` float64 batch.
     """
     if not spec.is_deterministic:
         raise ValidationError(

@@ -20,9 +20,10 @@ documented draw order per kind:
   ``_DITHER_PERIOD`` steps when dithering is enabled.
 * ``logistic``          -- none (pure orbit of 4x(1-x)).
 * ``shift``             -- T+52 stream bits; sample t is the 53-bit
-  window 0.b_t..b_{t+52}, a typical orbit of x -> 2x mod 1 evaluated
-  to one ulp (iterating doubles directly would collapse onto 0, since
-  every double is a dyadic rational).
+  window 0.b_t..b_{t+52}, built exactly as the integer b_t..b_{t+52}
+  times 2**-53: a typical orbit of x -> 2x mod 1 evaluated to one ulp
+  (iterating doubles directly would collapse onto 0, since every double
+  is a dyadic rational).
 
 Seed-free work is done once per key and kept in two memos of at most
 ``_MEMO_KEYS`` (8) keys, least recently used out: the fGn/fBm
@@ -43,7 +44,6 @@ from functools import lru_cache, partial
 from numbers import Integral, Real
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError, ValidationError, _float
 from .rng import Stream
@@ -311,7 +311,8 @@ def map_orbit(spec: ProcessSpec, x0, n: int, kicks=None) -> np.ndarray:
     ``i`` equals the orbit of ``x0[i]`` bit for bit.
     ``kicks`` (see :func:`dither_kicks`; one row per condition for an
     array) are applied at the start of each block of ``_DITHER_PERIOD``
-    steps.
+    steps; they need one value per started block.  ``n`` must be an
+    integer at least 1 and every ``x0`` a real in [0, 1].
     """
     if spec.kind == "piecewise-linear":
         step = partial(_zigzag, sigma=spec.sigma)
@@ -319,6 +320,15 @@ def map_orbit(spec: ProcessSpec, x0, n: int, kicks=None) -> np.ndarray:
         step = _MAP_STEPS[spec.kind]
     else:
         raise ValidationError(f"kind {spec.kind!r} is not a map")
+    _check_count("n", n)
+    x0 = np.asarray(x0, dtype=float) if np.ndim(x0) else _float(x0)
+    if not np.all((0.0 <= x0) & (x0 <= 1.0)):  # nan fails both
+        raise ValidationError("x0 must lie in [0, 1]")
+    blocks = -(-n // _DITHER_PERIOD)
+    if kicks is not None and not (np.shape(kicks)[:-1] == np.shape(x0)
+                                  and np.shape(kicks)[-1:] >= (blocks,)):
+        raise ValidationError(f"kicks must hold one row per x0 and one value "
+                              f"per started block ({blocks})")
     out = np.empty(np.shape(x0) + (n,))
     steps = out if out.ndim == 1 else out.T  # steps[t] holds iterate t
     v = x0
@@ -340,9 +350,18 @@ def _noiseless_orbit(kind: str, x0: float, n: int) -> np.ndarray:
 
 
 def _shift_series(n: int, stream: Stream) -> np.ndarray:
-    bits = stream.bits(n + 52).astype(np.float64)
-    weights = 2.0 ** -(np.arange(1, 54, dtype=np.float64))
-    return sliding_window_view(bits, 53) @ weights
+    """Sample t is the integer of bits t..t+52 times 2**-53, exact."""
+    win = stream.bits(n + 52).astype(np.uint64)  # win[t]: bits t..t+width-1
+    out = np.zeros(n, dtype=np.uint64)
+    width, done = 1, 0  # out holds the last ``done`` bits of each window
+    while True:  # 53 = 1 + 4 + 16 + 32
+        if 53 & width:
+            done += width
+            out |= win[53 - done : 53 - done + n] << np.uint64(done - width)
+            if done == 53:
+                return out * 2.0**-53
+        win = (win[:-width] << np.uint64(width)) | win[width:]
+        width *= 2
 
 
 def _xp_series(spec: ProcessSpec, stream: Stream) -> np.ndarray:

@@ -413,8 +413,27 @@ def test_orbit_batch_follows_the_seed_rule(kind, seed):
                           Stream(derive_seed(seed, i + 1)).uniforms(3)
                           if kind == "piecewise-linear" else None)
                 for i in range(n_orbits)]
-    batch = _orbit_batch(spec, n_orbits, orbit_len)
-    assert batch.tobytes() == np.vstack(rows).tobytes()
+    batch = _orbit_batch(spec, n_orbits, orbit_len)  # shift: one row at a time
+    assert np.vstack(list(batch)).tobytes() == np.vstack(rows).tobytes()
+
+
+@pytest.mark.parametrize("n_orbits", [1, 50])
+def test_shift_scan_generates_no_orbit_after_every_pattern_is_seen(
+        n_orbits, monkeypatch):
+    calls = []
+
+    def counting_generate(spec):
+        calls.append(spec)
+        return generate(spec)
+
+    monkeypatch.setattr("permz.analysis.generate", counting_generate)
+    spec = ProcessSpec("shift", length=1, seed=4)
+    assert forbidden_patterns_of_map(spec, 2, n_orbits, 1_000) == set()
+    assert [s.seed for s in calls] == [4]  # the first orbit shows both patterns
+    # with forbidden patterns at L = 4, every orbit is generated
+    calls.clear()
+    assert len(forbidden_patterns_of_map(spec, 4, n_orbits, 1_000)) == 6
+    assert len(calls) == n_orbits
 
 
 @settings(max_examples=30, deadline=None)

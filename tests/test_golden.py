@@ -13,7 +13,9 @@ became the only input form of ``fit_decay``.  The ``entropy``,
 captured before ``entropy_report`` was removed and the CLI stopped
 copying the experiment defaults.  The ``entropy`` runs over repeated,
 unsorted and ``L! > n`` order lists and ``decay --order 6`` were captured
-while every order was still coded on its own.
+while every order was still coded on its own.  The two ``generate
+--process shift`` digests were captured while shift samples were still
+float dot products of the 53-bit bit windows.
 
 The ``--output`` runs of ``generate``, ``census``, ``entropy`` and
 ``decay`` digest the written file and its JSON sidecar, with and without
@@ -153,6 +155,10 @@ CLI_GOLDEN = {
     ("generate", "--process", "fgn", "--hurst", "0.3", "--length", "200",
      "--seed", "6"):
         "afb8f223a479a80a3f445604eb346df00eb5a60d1a56931800e7663b0d4e60f2",
+    ("generate", "--process", "shift", "--length", "3000", "--seed", "7"):
+        "1117b65225917058fd4482aa85c7fb0275c51f4c2052fae0c92d5e3bb85a5bb9",
+    ("generate", "--process", "shift", "--length", "3000", "--seed", "-3"):
+        "f112006542ab13589e88758d4edcfbaa5e6712d551f0872dc9cd59a85dac565a",
     ("census", "--process", "noisy-logistic", "--length", "3000", "--seed", "3",
      "--order", "4"):
         "b78612ee4578cb13716bcd0489855402c059e130693a22f260ff2982872c69cd",

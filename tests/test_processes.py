@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from permz import processes
@@ -414,6 +415,21 @@ def test_shift_series_follows_doubling_map():
     assert np.max(np.minimum(err, 1.0 - err)) <= 2.0**-52
 
 
+def _reference_shift(n, seed):
+    """The float rule the integer windows replaced: each 53-bit window of
+    the stream bits dotted with the weights 2**-1 .. 2**-53."""
+    bits = Stream(seed).bits(n + 52).astype(float)
+    return sliding_window_view(bits, 53) @ 2.0 ** -np.arange(1, 54)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000), seed=st.integers(-(2**64 - 1), 2**64 - 1))
+def test_shift_series_equals_the_float_window_rule(n, seed):
+    x = generate(ProcessSpec("shift", length=n, seed=seed))
+    assert x.dtype == np.float64
+    assert np.array_equal(x.view(np.int64), _reference_shift(n, seed).view(np.int64))
+
+
 def test_shift_all_three_patterns_allowed():
     x = generate(ProcessSpec("shift", length=50_000, seed=9))
     assert pattern_census(x, 3).support_size == 6
@@ -455,6 +471,36 @@ def test_batch_orbit_rows_equal_scalar_orbits(spec, x0, n, seed):
 def test_map_orbit_rejects_kinds_without_a_map():
     with pytest.raises(ValidationError):
         map_orbit(ProcessSpec("fgn", length=1, hurst=0.5), 0.3, 5)
+
+
+@pytest.mark.parametrize("spec, x0, n, kicks, message", [
+    (MAPS[0], 0.3, -1, None, "n must be an integer at least 1"),
+    (MAPS[0], 0.3, 5.0, None, "n must be an integer at least 1"),
+    (MAPS[2], 0.3, 20_001, np.array([0.5]), r"one value per started block \(3\)"),
+    (MAPS[2], np.array([0.3, 0.4]), 20_001, np.full((2, 2), 0.5),
+     r"one value per started block \(3\)"),
+    (MAPS[2], 0.3, 5, 0.5, r"one value per started block \(1\)"),
+    (MAPS[2], np.array([0.3, 0.4]), 5, np.full((1, 1), 0.5), "one row per x0"),
+    (MAPS[2], np.array([0.3, 0.4]), 5, np.full(2, 0.5), "one row per x0"),
+    (MAPS[0], math.nan, 5, None, r"x0 must lie in \[0, 1\]"),
+    (MAPS[0], math.inf, 5, None, r"x0 must lie in \[0, 1\]"),
+    (MAPS[0], 1.5, 5, None, r"x0 must lie in \[0, 1\]"),
+    (MAPS[1], -0.1, 5, None, r"x0 must lie in \[0, 1\]"),
+    (MAPS[0], np.array([0.3, math.nan]), 5, None, r"x0 must lie in \[0, 1\]"),
+    (MAPS[0], None, 5, None, r"x0 must lie in \[0, 1\]"),
+    (MAPS[0], "x", 5, None, r"x0 must lie in \[0, 1\]"),
+], ids=["n-negative", "n-float", "kicks-short", "kicks-short-batch", "kicks-scalar",
+        "kicks-one-row", "kicks-no-rows", "x0-nan", "x0-inf", "x0-above",
+        "x0-below", "x0-array-nan", "x0-none", "x0-string"])
+def test_map_orbit_guards_raise_validation_error(spec, x0, n, kicks, message):
+    with pytest.raises(ValidationError, match=message) as info:
+        map_orbit(spec, x0, n, kicks)
+    assert info.value.exit_code == 2
+
+
+def test_map_orbit_takes_the_closed_unit_interval():
+    assert map_orbit(MAPS[0], 1.0, 3).tolist() == [1.0, 0.0, 0.0]
+    assert map_orbit(MAPS[2], 0.0, 2, np.array([0.5])).tolist() == [0.0, 0.0]
 
 
 def test_fgn_autocovariance_takes_the_generators_lag_array():
