@@ -20,7 +20,7 @@ import numpy as np
 
 from .entropy import ComplexityClass, _check_alpha, _fit_points, _line_fit
 from .entropy import _is_near_shannon, _near_shannon
-from .errors import DataError, NumericalError, ValidationError
+from .errors import DataError, NumericalError, ValidationError, _reals
 from .ordinal import OrdinalPattern, _check_order, stabilized_census, window_codes
 from .processes import (
     ProcessSpec, _check_count, _check_period, _check_residues, dither_kicks,
@@ -61,7 +61,7 @@ class DecayFit:
 
 
 def _decay_points(missing, L: int) -> tuple[np.ndarray, np.ndarray]:
-    m = np.asarray(missing, dtype=np.float64)
+    m = _reals(missing, "missing counts")
     if m.ndim != 1:
         raise ValidationError(
             "missing counts must be a 1-d curve over T = L, L+1, ..."

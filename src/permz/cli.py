@@ -130,10 +130,9 @@ def _parse_orders(text: str, hi=ordinal._MAX_ORDER) -> tuple[int, ...]:
 
 def _check_order_option(L: int) -> int:
     try:
-        ordinal._check_order(L)
+        return ordinal._check_order(L)
     except ValidationError as exc:
         raise ValidationError(f"bad --order {L} ({exc})") from None
-    return L
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:

@@ -29,7 +29,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ValidationError, _float
+from .errors import DataError, NumericalError, ValidationError, _float, _integer, _reals
 from .ordinal import PatternDistribution, _check_order
 
 __all__ = [
@@ -102,8 +102,7 @@ def lambert_w(x: float) -> float:
 
 
 def _check_iterations(n) -> None:
-    if not isinstance(n, Integral) or n < 0:
-        raise ValidationError("iteration count must be a nonnegative integer")
+    _integer(n, "iteration count must be a nonnegative integer", 0)
 
 
 def exp_iterated(x: float, n: int) -> float:
@@ -146,8 +145,7 @@ def lambert_n(x: float, n: int) -> float:
     under half the step before last, is replaced by bisection.  ``n=1``
     delegates to :func:`lambert_w`; entropies only need ``x >= 0``.
     """
-    if not isinstance(n, Integral) or n < 1:
-        raise ValidationError("n must be an integer >= 1")
+    _integer(n, "n must be an integer >= 1", 1)
     x = _float(x)
     if not math.isfinite(x):
         raise ValidationError("lambert_n argument must be finite")
@@ -224,8 +222,7 @@ class ComplexityClass:
 
     def __post_init__(self):
         # exp^(5)(0), the g^{-1}(0) of n = 5, overflows a double
-        if not isinstance(self.n, Integral) or not 0 <= self.n <= 4:
-            raise ValidationError("class order n must be an integer from 0 to 4")
+        _integer(self.n, "class order n must be an integer from 0 to 4", 0, 4)
         if not (isinstance(self.c, Real) and math.isfinite(_float(self.c))
                 and self.c > 0):
             raise ValidationError("class constant c must be finite and > 0")
@@ -288,7 +285,7 @@ class ComplexityClass:
     def inverse(self, s: float) -> float:
         """``g^{-1}(s)`` for ``s >= 0``: ``s / c``, or
         ``exp^(n)(W_n(s / c))`` for ``n >= 1``."""
-        if s < 0:
+        if not _float(s) >= 0:  # nan fails; s itself keeps its bits
             raise ValidationError("inverse growth is only used for s >= 0")
         scaled = s / self.c
         if math.isinf(scaled):
@@ -315,7 +312,7 @@ class ComplexityClass:
 def _as_probabilities(dist) -> np.ndarray:
     if isinstance(dist, PatternDistribution):
         return dist.probabilities
-    p = np.asarray(dist, dtype=np.float64).reshape(-1)
+    p = _reals(dist, "probabilities").reshape(-1)
     if p.size == 0:
         raise DataError("empty probability vector")
     if not np.all(np.isfinite(p)):
@@ -400,8 +397,7 @@ def z_entropy(dist, complexity_class: ComplexityClass, alpha: float) -> float:
 def z_topological(allowed_count: int, complexity_class: ComplexityClass) -> float:
     """Topological Z-entropy ``g^{-1}(ln A) - g^{-1}(0)`` from an
     allowed-pattern count ``A >= 1``."""
-    if allowed_count < 1:
-        raise ValidationError("allowed_count must be at least 1")
+    _integer(allowed_count, "allowed_count must be an integer at least 1", 1)
     return complexity_class.z(math.log(allowed_count))
 
 
@@ -420,7 +416,7 @@ def _fit_points(pairs, what: str) -> list[tuple[int, float]]:
     points = []
     for L, value in pairs:
         _check_order(L, hi=math.inf)
-        if not isinstance(value, Integral) and not math.isfinite(value):
+        if not isinstance(value, Integral) and not math.isfinite(_float(value)):
             raise DataError(f"{what} must be finite")
         points.append((int(L), value))
     if len({L for L, _ in points}) < 3:

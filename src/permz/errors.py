@@ -2,9 +2,15 @@
 
 Three categories, mirroring the CLI exit codes: bad arguments or
 parameters (exit 2), bad or insufficient data (exit 3), and numerical
-failures such as overflow or non-convergence (exit 4).  Numeric guards
-convert with :func:`_float`, so that they raise the first category.
+failures such as overflow or non-convergence (exit 4).  Guards raise the
+first category through :func:`_float` (numeric guards convert with it),
+:func:`_integer` (every integer-range test) and :func:`_reals` (every real array).
 """
+
+import math
+from numbers import Integral
+
+import numpy as np
 
 
 class PermzError(Exception):
@@ -40,3 +46,18 @@ def _float(value) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         return float("nan")
+
+
+def _integer(value, message: str, lo=-math.inf, hi=math.inf):
+    """``value`` if it is an integer in ``[lo, hi]``, else ValidationError(message)."""
+    if not isinstance(value, Integral) or not lo <= value <= hi:
+        raise ValidationError(message)
+    return value
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, or ValidationError where numpy refuses them."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must hold real numbers") from None

@@ -23,7 +23,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, _integer, _reals
 
 __all__ = [
     "OrdinalPattern",
@@ -39,9 +39,8 @@ __all__ = [
 _MAX_ORDER = 20  # 21! - 1 overflows the int64 codes
 
 
-def _check_order(L, hi=_MAX_ORDER) -> None:
-    if not isinstance(L, Integral) or not 2 <= L <= hi:
-        raise ValidationError(f"order L must be an integer at least 2, at most {hi}")
+def _check_order(L, hi=_MAX_ORDER) -> int:
+    return _integer(L, f"order L must be an integer at least 2, at most {hi}", 2, hi)
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ class PatternDistribution:
 
 
 def _as_series(series) -> np.ndarray:
-    x = np.asarray(series, dtype=np.float64)
+    x = _reals(series, "series")
     if x.ndim != 1:
         raise ValidationError(f"series must be 1-d, got {x.ndim} dimensions")
     if not np.all(np.isfinite(x)):
@@ -142,7 +141,7 @@ def rank_vector(window) -> OrdinalPattern:
     Ties resolve in favor of the earlier position being smaller, which
     is what a stable sort of the values gives.
     """
-    w = np.asarray(window, dtype=np.float64)
+    w = _reals(window, "window")
     if w.ndim != 1 or w.size < 2:
         raise ValidationError("window must be a 1-d sequence of length >= 2")
     if not np.all(np.isfinite(w)):
@@ -169,8 +168,8 @@ def lehmer_encode(pattern) -> int:
 def lehmer_decode(code: int, length: int) -> tuple[int, ...]:
     """Inverse of :func:`lehmer_encode`."""
     _check_order(length, hi=inf)
-    if not isinstance(code, Integral) or not 0 <= code < factorial(length):
-        raise ValidationError(f"code {code} out of range for length {length}")
+    _integer(code, f"code {code} out of range for length {length}",
+             0, factorial(length) - 1)
     remaining = list(range(length))
     out = []
     for i in range(length):

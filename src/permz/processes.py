@@ -41,11 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _float
+from .errors import NumericalError, ValidationError, _float, _integer, _reals
 from .rng import Stream
 
 __all__ = [
@@ -86,18 +86,15 @@ _MEMO_KEYS = 8
 
 
 def _check_count(name: str, value) -> None:
-    if not isinstance(value, Integral) or value < 1:
-        raise ValidationError(f"{name} must be an integer at least 1")
+    _integer(value, f"{name} must be an integer at least 1", 1)
 
 
 def _check_seed(seed) -> None:
-    if not isinstance(seed, Integral):  # of either sign: streams take it mod 2**64
-        raise ValidationError("seed must be an integer")
+    _integer(seed, "seed must be an integer")  # of either sign: streams take it mod 2**64
 
 
 def _check_period(p) -> None:
-    if not isinstance(p, Integral) or p < 2:
-        raise ValidationError("period must be an integer >= 2")
+    _integer(p, "period must be an integer >= 2", 2)
 
 
 def _check_residues(residues, p) -> tuple[int, ...]:
@@ -105,10 +102,9 @@ def _check_residues(residues, p) -> tuple[int, ...]:
     a tuple; None gives the default, the one residue ``p - 1``."""
     if residues is None:
         return (p - 1,)
-    residues = tuple(residues) if np.iterable(residues) else (None,)  # (None,) fails
-    if any(not isinstance(r, Integral) or not 0 <= r < p for r in residues):
-        raise ValidationError(f"residues must be integers in 0..{p - 1}")
-    return residues
+    message = f"residues must be integers in 0..{p - 1}"
+    return tuple(_integer(r, message, 0, p - 1)
+                 for r in (residues if np.iterable(residues) else (None,)))  # None fails
 
 
 @dataclass(frozen=True)
@@ -199,6 +195,7 @@ _DEFAULTS = {f.name: f.default for f in fields(ProcessSpec)[3:]}  # hurst .. dit
 def derive_seed(base_seed: int, index: int) -> int:
     """Per-realization seed for ensemble member ``index``."""
     _check_seed(base_seed)
+    _integer(index, "index must be an integer")  # of either sign, like the seed
     return (int(base_seed) + int(index)) & 0xFFFFFFFFFFFFFFFF
 
 
@@ -220,8 +217,8 @@ def fgn_autocovariance(hurst: float, lag: int) -> float:
     """Autocovariance of unit-variance fractional Gaussian noise at ``lag``
     (or an array of lags): ``0.5 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})``."""
     ProcessSpec("fgn", length=1, hurst=hurst)  # the spec holds the hurst guard
-    k = np.asarray(lag, dtype=np.float64)
-    if np.any(k < 0):
+    k = _reals(lag, "lag")
+    if not np.all(k >= 0):  # nan fails
         raise ValidationError("lag must be nonnegative")
     h2 = 2.0 * hurst
     return 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2)
@@ -321,7 +318,7 @@ def map_orbit(spec: ProcessSpec, x0, n: int, kicks=None) -> np.ndarray:
     else:
         raise ValidationError(f"kind {spec.kind!r} is not a map")
     _check_count("n", n)
-    x0 = np.asarray(x0, dtype=float) if np.ndim(x0) else _float(x0)
+    x0 = _reals(x0, "x0") if np.ndim(x0) else _float(x0)
     if not np.all((0.0 <= x0) & (x0 <= 1.0)):  # nan fails both
         raise ValidationError("x0 must lie in [0, 1]")
     blocks = -(-n // _DITHER_PERIOD)

@@ -1,10 +1,15 @@
 import ast
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import permz
+from permz.processes import map_orbit
 
 
 def test_public_api_is_pinned():
@@ -65,3 +70,40 @@ def test_benchmark_workloads_import(monkeypatch):
     """The workloads module runs its imports of the program at load time."""
     workloads = _load_bench_module("workloads", monkeypatch)
     assert workloads.WORKLOADS
+
+
+_EXP1 = permz.ComplexityClass.exponential(1.0)
+_FAC = permz.ComplexityClass.factorial()
+_LOGISTIC = permz.ProcessSpec("logistic", length=1)
+# (argument, call, real-valued): each data or integer entry of the public API
+_ENTRIES = [
+    ("rank_vector-window", permz.rank_vector, True),
+    ("window_codes-series", lambda v: permz.window_codes(v, 3), True),
+    ("pattern_census-series", lambda v: permz.pattern_census(v, 3), True),
+    ("stabilized_census-series", lambda v: permz.stabilized_census(v, 3), True),
+    ("visible_curve-series", lambda v: permz.visible_curve(v, 3), True),
+    ("renyi_entropy-dist", lambda v: permz.renyi_entropy(v, 2.0), True),
+    ("z_entropy-dist", lambda v: permz.z_entropy(v, _FAC, 2.0), True),
+    ("fit_decay-missing", lambda v: permz.fit_decay(v, 4), True),
+    ("fgn_autocovariance-lag", lambda v: permz.fgn_autocovariance(0.3, v), True),
+    ("map_orbit-x0-array", lambda v: map_orbit(_LOGISTIC, [v], 5), True),
+    ("inverse-s", _EXP1.inverse, True),
+    ("z_topological-allowed_count", lambda v: permz.z_topological(v, _EXP1), False),
+    ("derive_seed-index", lambda v: permz.derive_seed(1, v), False),
+]
+_JUNK = {"str": "a", "None": None, "nan": math.nan, "2.5": 2.5,
+         "2-d": [[1.0, 2.0]], "strs": ["a", "b", "c"]}
+_HUGE = {"10**400": 10**400}  # real-valued data only: no huge order, length or count
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{name}-{label}")
+    for name, call, real in _ENTRIES
+    for label, value in {**_JUNK, **(_HUGE if real else {})}.items()
+])
+def test_junk_arguments_give_a_package_error_or_a_finite_result(call, value):
+    try:
+        result = call(value)
+    except permz.PermzError:
+        return
+    assert np.all(np.isfinite(result))

@@ -19,11 +19,11 @@ from permz.entropy import (
     z_entropy,
     z_topological,
 )
-from permz.analysis import xp_distribution
+from permz.analysis import estimate_class_constant, xp_distribution
 from permz.experiments import ExperimentConfig
 from permz.errors import DataError, NumericalError, ValidationError
 from permz.ordinal import lehmer_decode, pattern_census
-from permz.processes import ProcessSpec, generate
+from permz.processes import ProcessSpec, derive_seed, fgn_autocovariance, generate
 
 
 def _random_distributions(count, seed=0, max_w=40):
@@ -292,10 +292,39 @@ def test_out_of_domain_class_or_alpha_raises_validation_error(call):
     (lambda: log_iterated(10**400, 1), "log_iterated domain"),
     (lambda: lehmer_decode(1.5, 3), "code 1.5 out of range for length 3"),
     (lambda: lehmer_decode("1", 3), "code 1 out of range for length 3"),
+    (lambda: z_topological("3", ComplexityClass.factorial()),
+     "allowed_count must be an integer at least 1"),
+    (lambda: z_topological(None, ComplexityClass.factorial()),
+     "allowed_count must be an integer at least 1"),
+    (lambda: z_topological([3], ComplexityClass.factorial()),
+     "allowed_count must be an integer at least 1"),
+    (lambda: z_topological(math.nan, ComplexityClass.exponential(1.0)),
+     "allowed_count must be an integer at least 1"),
+    (lambda: z_topological(2.5, ComplexityClass.exponential(1.0)),
+     "allowed_count must be an integer at least 1"),
+    (lambda: ComplexityClass.factorial().inverse("a"), "inverse growth is only used"),
+    (lambda: ComplexityClass.exponential(1.0).inverse(math.nan),
+     "inverse growth is only used"),
+    (lambda: renyi_entropy(["a", "b"], 1.0), "probabilities must hold real numbers"),
+    (lambda: derive_seed(1, 2.5), "index must be an integer"),
+    (lambda: derive_seed(1, math.nan), "index must be an integer"),
+    (lambda: derive_seed(1, "a"), "index must be an integer"),
+    (lambda: derive_seed(1, None), "index must be an integer"),
+    (lambda: derive_seed(1, [[1]]), "index must be an integer"),
+    (lambda: fgn_autocovariance(0.3, math.nan), "lag must be nonnegative"),
+    (lambda: fgn_autocovariance(0.3, None), "lag must be nonnegative"),
+    (lambda: fgn_autocovariance(0.3, [1.0, math.nan]), "lag must be nonnegative"),
+    (lambda: fgn_autocovariance(0.3, "a"), "lag must hold real numbers"),
+    (lambda: fgn_autocovariance(0.3, 10**400), "lag must hold real numbers"),
 ], ids=["renyi-None", "renyi-str", "renyi-10**400", "config-10**400", "w-None",
         "w-10**400", "wn-10**400", "class-str", "class-10**400", "class-exp-None",
         "exp-1.5", "exp-10**400", "exp--10**400", "exp-nan", "exp-inf", "exp--inf",
-        "exp-None", "exp-str", "log-10**400", "decode-1.5", "decode-str"])
+        "exp-None", "exp-str", "log-10**400", "decode-1.5", "decode-str",
+        "topological-str", "topological-None", "topological-list",
+        "topological-nan", "topological-2.5", "inverse-str", "inverse-nan",
+        "renyi-str-masses", "index-2.5", "index-nan", "index-str", "index-None",
+        "index-nested-list", "lag-nan", "lag-None", "lag-array-nan", "lag-str",
+        "lag-10**400"])
 def test_numeric_guards_raise_their_own_validation_error(call, message):
     # each raised a TypeError, ValueError or OverflowError from float(),
     # range() or a comparison before its guard could fire
@@ -313,7 +342,21 @@ def test_numeric_guards_raise_their_own_validation_error(call, message):
     (lambda: renyi_entropy([], 1.0), DataError, "empty probability vector"),
     (lambda: renyi_entropy([math.nan, 1.0], 1.0), DataError,
      "probabilities must be finite"),
-], ids=["c-2-n-1", "c-0.5-n-2", "inverse-negative", "renyi-empty", "renyi-nan-mass"])
+    (lambda: z_topological(2.5, ComplexityClass.exponential(1.0)), ValidationError,
+     "allowed_count must be an integer at least 1"),
+    (lambda: ComplexityClass.factorial().inverse("a"), ValidationError,
+     "inverse growth is only used for s >= 0"),
+    (lambda: ComplexityClass.exponential(1.0).inverse(math.nan), ValidationError,
+     "inverse growth is only used for s >= 0"),
+    (lambda: renyi_entropy(10**400, 1.0), ValidationError,
+     "probabilities must hold real numbers"),
+    (lambda: entropy_rate_estimate([(3, "a"), (4, 1.0), (5, 1.0)]), DataError,
+     "Z/L values must be finite"),
+    (lambda: estimate_class_constant([(3, "a"), (4, 24), (5, 120)], "exponential"),
+     DataError, "allowed counts must be finite"),
+], ids=["c-2-n-1", "c-0.5-n-2", "inverse-negative", "renyi-empty", "renyi-nan-mass",
+        "topological-2.5", "inverse-str", "inverse-nan", "renyi-10**400-masses",
+        "rate-str-value", "class-constant-str-count"])
 def test_each_class_and_distribution_guard_gives_its_message(call, error, message):
     with pytest.raises(error) as info:
         call()

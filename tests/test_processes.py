@@ -489,9 +489,13 @@ def test_map_orbit_rejects_kinds_without_a_map():
     (MAPS[0], np.array([0.3, math.nan]), 5, None, r"x0 must lie in \[0, 1\]"),
     (MAPS[0], None, 5, None, r"x0 must lie in \[0, 1\]"),
     (MAPS[0], "x", 5, None, r"x0 must lie in \[0, 1\]"),
+    (ProcessSpec("piecewise-linear", length=1, sigma=2.7), np.array(["a"]), 5, None,
+     "x0 must hold real numbers"),
+    (MAPS[0], np.array([10**400]), 5, None, "x0 must hold real numbers"),
 ], ids=["n-negative", "n-float", "kicks-short", "kicks-short-batch", "kicks-scalar",
         "kicks-one-row", "kicks-no-rows", "x0-nan", "x0-inf", "x0-above",
-        "x0-below", "x0-array-nan", "x0-none", "x0-string"])
+        "x0-below", "x0-array-nan", "x0-none", "x0-string", "x0-array-string",
+        "x0-array-10**400"])
 def test_map_orbit_guards_raise_validation_error(spec, x0, n, kicks, message):
     with pytest.raises(ValidationError, match=message) as info:
         map_orbit(spec, x0, n, kicks)
