@@ -20,8 +20,9 @@ import numpy as np
 
 from .entropy import ComplexityClass, _check_alpha, _fit_points, _line_fit
 from .entropy import _is_near_shannon, _near_shannon
-from .errors import DataError, NumericalError, ValidationError, _reals
-from .ordinal import OrdinalPattern, _check_order, stabilized_census, window_codes
+from .errors import DataError, NumericalError, ValidationError, _instance, _reals
+from .ordinal import _MAX_FACTORIAL, OrdinalPattern, _check_order, stabilized_census
+from .ordinal import window_codes
 from .processes import (
     ProcessSpec, _check_count, _check_period, _check_residues, dither_kicks,
     generate, map_orbit, member_seed, realization_specs,
@@ -154,7 +155,7 @@ def fit_decay(missing, L: int, model: str = "exponential",
 
 def _xp_counts(p: int, L: int) -> tuple[int, int, int, int]:
     _check_period(p)
-    _check_order(L, hi=math.inf)
+    _check_order(L, hi=_MAX_FACTORIAL)
     if L < p:
         raise ValidationError(
             f"window width L={L} below period p={p} is outside the supported range"
@@ -263,7 +264,7 @@ def xp_pattern_probabilities(
     the group sizes.
     """
     _check_period(p)
-    _check_order(L, hi=math.inf)
+    _check_order(L, hi=_MAX_FACTORIAL)
     residues = _check_residues(noiseless_residues, p)
     out: dict[tuple[int, ...], Fraction] = {}
     for start in range(p):
@@ -346,7 +347,7 @@ def forbidden_patterns_of_map(
     (none past that stop); a map scan holds its orbits as one
     ``n_orbits x orbit_len`` float64 batch.
     """
-    if not spec.is_deterministic:
+    if not _instance(spec, ProcessSpec, "spec").is_deterministic:
         raise ValidationError(
             "forbidden-pattern scans require a deterministic kind "
             "(logistic, piecewise-linear or shift)"

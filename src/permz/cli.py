@@ -41,37 +41,30 @@ __all__ = ["main", "read_series", "write_series"]
 # ---------------------------------------------------------------------------
 
 def read_series(path: str) -> np.ndarray:
-    """One float per line; blank lines and ``#`` comments allowed."""
+    """One float per line; blank lines and ``#`` comments allowed.  Each
+    line is stripped as ``str.strip`` strips it, then read as ``float``."""
     text = read_text(path, "series file")
     lines = text.split("\n")  # what iterating the file yields, newlines aside
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     del text
     try:
-        values = np.fromiter(map(float, filter(str.strip, lines)), np.float64)
+        values = np.fromiter(map(float, filter(None, map(str.strip, lines))), np.float64)
     except ValueError:
-        values = _parse_lines(path, lines)
+        raise _parse_lines(path, lines) from None
     if not values.size:
         raise DataError(f"series file {path} contains no samples")
     return values
 
 
-def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
-    """The line-by-line parse behind :func:`read_series`'s error message.
-
-    ``float`` strips fewer characters than ``str.strip`` (not ``\\x1c``
-    to ``\\x1f``), so a line can fail the whole-text parse and still
-    hold a number; then the values are returned."""
-    values = []
+def _parse_lines(path: str, lines: list[str]) -> DataError:
+    """The error :func:`read_series` raises: the first line ``float`` refuses."""
     for lineno, line in enumerate(lines, 1):
         text = line.strip()
-        if not text:
-            continue
         try:
-            values.append(float(text))
+            float(text or 0)  # a blank line is skipped, not refused
         except ValueError:
-            raise DataError(f"{path}:{lineno}: not a number: {text!r}") from None
-    return np.array(values, dtype=np.float64)
+            return DataError(f"{path}:{lineno}: not a number: {text!r}")
 
 
 def _series_text(series: np.ndarray) -> str:
@@ -312,7 +305,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_xp(args) -> int:
-    orders = _parse_orders(args.orders, hi=math.inf)
+    orders = _parse_orders(args.orders, hi=ordinal._MAX_FACTORIAL)
     alphas = _parse_alphas(args.alpha)
     header = ["period", "L", "nu", "mu", "N1", "N2", "P1", "P2", "allowed",
               "c"] + [f"R_a{a:g}" for a in alphas]

@@ -29,8 +29,9 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ValidationError, _float, _integer, _reals
-from .ordinal import PatternDistribution, _check_order
+from .errors import DataError, NumericalError, ValidationError
+from .errors import _float, _instance, _integer, _reals
+from .ordinal import _MAX_FACTORIAL, PatternDistribution, _check_order
 
 __all__ = [
     "ComplexityClass",
@@ -255,7 +256,7 @@ class ComplexityClass:
 
     @classmethod
     def parse(cls, token: str) -> "ComplexityClass":
-        token = token.strip().lower()
+        token = _instance(token, str, "class token").strip().lower()
         try:
             if token == "fac":
                 return cls.factorial()
@@ -391,14 +392,16 @@ def renyi_entropy(dist, alpha: float) -> float:
 
 def z_entropy(dist, complexity_class: ComplexityClass, alpha: float) -> float:
     """Z-entropy ``g^{-1}(R_alpha(p)) - g^{-1}(0)`` for ``alpha > 0``."""
-    return complexity_class.z(renyi_entropy(dist, _check_alpha(alpha, positive=True)))
+    law = _instance(complexity_class, ComplexityClass, "complexity_class")
+    return law.z(renyi_entropy(dist, _check_alpha(alpha, positive=True)))
 
 
 def z_topological(allowed_count: int, complexity_class: ComplexityClass) -> float:
     """Topological Z-entropy ``g^{-1}(ln A) - g^{-1}(0)`` from an
     allowed-pattern count ``A >= 1``."""
     _integer(allowed_count, "allowed_count must be an integer at least 1", 1)
-    return complexity_class.z(math.log(allowed_count))
+    law = _instance(complexity_class, ComplexityClass, "complexity_class")
+    return law.z(math.log(allowed_count))
 
 
 @dataclass(frozen=True)
@@ -413,9 +416,13 @@ class RateFit:
 def _fit_points(pairs, what: str) -> list[tuple[int, float]]:
     """The ``(L, value)`` points of a fit over orders: each L an order, each
     value finite (an int of any size is), and at least 3 distinct orders."""
+    try:
+        pairs = [(L, value) for L, value in pairs]
+    except (TypeError, ValueError):  # not iterable, or a point not a pair
+        raise ValidationError(f"{what} must be (L, value) pairs") from None
     points = []
     for L, value in pairs:
-        _check_order(L, hi=math.inf)
+        _check_order(L, hi=_MAX_FACTORIAL)
         if not isinstance(value, Integral) and not math.isfinite(_float(value)):
             raise DataError(f"{what} must be finite")
         points.append((int(L), value))

@@ -4,7 +4,8 @@ Three categories, mirroring the CLI exit codes: bad arguments or
 parameters (exit 2), bad or insufficient data (exit 3), and numerical
 failures such as overflow or non-convergence (exit 4).  Guards raise the
 first category through :func:`_float` (numeric guards convert with it),
-:func:`_integer` (every integer-range test) and :func:`_reals` (every real array).
+:func:`_integer` (every integer-range test), :func:`_reals` (every real array)
+and :func:`_instance` (every argument of a package type).
 """
 
 import math
@@ -52,6 +53,13 @@ def _integer(value, message: str, lo=-math.inf, hi=math.inf):
     """``value`` if it is an integer in ``[lo, hi]``, else ValidationError(message)."""
     if not isinstance(value, Integral) or not lo <= value <= hi:
         raise ValidationError(message)
+    return value
+
+
+def _instance(value, kind: type, what: str):
+    """``value`` if it is a ``kind``, else ValidationError."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}")
     return value
 
 

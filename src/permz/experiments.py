@@ -57,7 +57,7 @@ from .entropy import (
     ComplexityClass, _check_alpha_labels, z_topological,
 )
 from .entropy import z_entropy  # noqa: F401 -- perfbench traces this binding
-from .errors import DataError, PermzError, ValidationError
+from .errors import DataError, PermzError, ValidationError, _instance
 from .ordinal import stabilized_census  # noqa: F401 -- perfbench traces this binding
 from .processes import (
     _PROC_SEED_STRIDE, ProcessSpec, _check_count, _check_seed, generate,
@@ -437,7 +437,8 @@ def run_experiment(
         raise ValidationError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}"
         )
-    config = config or ExperimentConfig()
+    config = ExperimentConfig() if config is None else _instance(
+        config, ExperimentConfig, "config")
     runner, length, top = _RUNNERS[name]
     if length is not None:  # table2 reads no series
         length = length if config.t_max is None else config.t_max

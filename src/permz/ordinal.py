@@ -16,8 +16,9 @@ pass, and ``window_codes`` is its one-order case.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from math import factorial, inf
+from math import factorial
 from numbers import Integral
 from operator import index
 
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _MAX_ORDER = 20  # 21! - 1 overflows the int64 codes
+_MAX_FACTORIAL = sys.maxsize  # the largest n math.factorial takes
 
 
 def _check_order(L, hi=_MAX_ORDER) -> int:
@@ -59,7 +61,7 @@ class OrdinalPattern:
             ) from None
         object.__setattr__(self, "ranks", ranks)
         L = len(ranks)
-        _check_order(L, hi=inf)
+        _check_order(L, hi=_MAX_FACTORIAL)
         if sorted(ranks) != list(range(L)):
             raise ValidationError(f"ranks {ranks!r} are not a permutation of 0..{L - 1}")
 
@@ -167,7 +169,7 @@ def lehmer_encode(pattern) -> int:
 
 def lehmer_decode(code: int, length: int) -> tuple[int, ...]:
     """Inverse of :func:`lehmer_encode`."""
-    _check_order(length, hi=inf)
+    _check_order(length, hi=_MAX_FACTORIAL)
     _integer(code, f"code {code} out of range for length {length}",
              0, factorial(length) - 1)
     remaining = list(range(length))

@@ -45,7 +45,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _float, _integer, _reals
+from .errors import NumericalError, ValidationError, _float, _instance, _integer, _reals
 from .rng import Stream
 
 __all__ = [
@@ -208,6 +208,7 @@ def realization_specs(spec: ProcessSpec, count: int,
                       process_index: int = 0) -> list[ProcessSpec]:
     """``count`` realizations of ``spec``, realization i seeded
     ``member_seed(spec.seed, process_index, i)`` (``derive_seed`` at index 0)."""
+    _instance(spec, ProcessSpec, "spec")
     _check_count("realizations", count)
     return [replace(spec, seed=member_seed(spec.seed, process_index, i))
             for i in range(count)]
@@ -293,7 +294,7 @@ def dither_kicks(spec: ProcessSpec, seed: int, n: int) -> np.ndarray | None:
     still collapse between kicks; prefer non-dyadic sigma (or the shift
     kind).
     """
-    if spec.kind != "piecewise-linear" or not spec.dither:
+    if _instance(spec, ProcessSpec, "spec").kind != "piecewise-linear" or not spec.dither:
         return None
     return Stream(seed).uniforms(-(-n // _DITHER_PERIOD))
 
@@ -311,7 +312,7 @@ def map_orbit(spec: ProcessSpec, x0, n: int, kicks=None) -> np.ndarray:
     steps; they need one value per started block.  ``n`` must be an
     integer at least 1 and every ``x0`` a real in [0, 1].
     """
-    if spec.kind == "piecewise-linear":
+    if _instance(spec, ProcessSpec, "spec").kind == "piecewise-linear":
         step = partial(_zigzag, sigma=spec.sigma)
     elif spec.kind in _MAP_STEPS:
         step = _MAP_STEPS[spec.kind]
@@ -375,7 +376,7 @@ def _xp_series(spec: ProcessSpec, stream: Stream) -> np.ndarray:
 
 def generate(spec: ProcessSpec) -> np.ndarray:
     """Produce the length-T series described by ``spec``."""
-    stream = Stream(spec.seed)
+    stream = Stream(_instance(spec, ProcessSpec, "spec").seed)
     n = spec.length
     if spec.kind == "white-noise":
         return stream.uniforms(n)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import permz
-from permz.processes import map_orbit
+from permz.processes import dither_kicks, map_orbit, realization_specs
 
 
 def test_public_api_is_pinned():
@@ -75,7 +75,9 @@ def test_benchmark_workloads_import(monkeypatch):
 _EXP1 = permz.ComplexityClass.exponential(1.0)
 _FAC = permz.ComplexityClass.factorial()
 _LOGISTIC = permz.ProcessSpec("logistic", length=1)
-# (argument, call, real-valued): each data or integer entry of the public API
+_NO_DIR = Path(__file__) / "out"  # below a file: run_experiment refuses it before running
+# (argument, call, takes 10**400): each data, integer, order or typed entry of
+# the public API
 _ENTRIES = [
     ("rank_vector-window", permz.rank_vector, True),
     ("window_codes-series", lambda v: permz.window_codes(v, 3), True),
@@ -90,10 +92,27 @@ _ENTRIES = [
     ("inverse-s", _EXP1.inverse, True),
     ("z_topological-allowed_count", lambda v: permz.z_topological(v, _EXP1), False),
     ("derive_seed-index", lambda v: permz.derive_seed(1, v), False),
+    ("xp_allowed_count-L", lambda v: permz.xp_allowed_count(2, v), True),
+    ("lehmer_decode-length", lambda v: permz.lehmer_decode(0, v), True),
+    ("entropy_rate_estimate-L",
+     lambda v: permz.entropy_rate_estimate([(v, 1.0), (3, 1.0), (4, 1.0)]), True),
+    ("entropy_rate_estimate-pairs", permz.entropy_rate_estimate, False),
+    ("estimate_class_constant-counts",
+     lambda v: permz.estimate_class_constant(v, "exponential"), False),
+    ("z_entropy-class", lambda v: permz.z_entropy([0.5, 0.5], v, 2.0), False),
+    ("z_topological-class", lambda v: permz.z_topological(3, v), False),
+    ("generate-spec", permz.generate, False),
+    ("realization_specs-spec", lambda v: realization_specs(v, 2), False),
+    ("map_orbit-spec", lambda v: map_orbit(v, 0.5, 5), False),
+    ("dither_kicks-spec", lambda v: dither_kicks(v, 1, 5), False),
+    ("forbidden_patterns_of_map-spec",
+     lambda v: permz.forbidden_patterns_of_map(v, 3, 2, 10), False),
+    ("run_experiment-config", lambda v: permz.run_experiment("fig1", v, _NO_DIR), False),
+    ("parse-token", permz.ComplexityClass.parse, False),
 ]
 _JUNK = {"str": "a", "None": None, "nan": math.nan, "2.5": 2.5,
          "2-d": [[1.0, 2.0]], "strs": ["a", "b", "c"]}
-_HUGE = {"10**400": 10**400}  # real-valued data only: no huge order, length or count
+_HUGE = {"10**400": 10**400}  # real-valued data and orders only: no huge length or count
 
 
 @pytest.mark.parametrize("call, value", [

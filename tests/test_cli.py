@@ -395,6 +395,14 @@ def test_xp_unsupported_range_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("orders", [pytest.param("1" * 401, id="order"),
+                                    pytest.param("3:" + "1" * 401, id="range")])
+def test_xp_order_beyond_factorial_exits_2(orders, capsys):
+    code, out = run_cli("xp", "--period", "2", "--orders", orders)
+    assert code == 2 and out == ""
+    assert "at most 9223372036854775807" in capsys.readouterr().err
+
+
 # -- experiment ---------------------------------------------------------------
 
 def test_experiment_table2_writes_files(tmp_path):
