@@ -24,7 +24,7 @@ from .errors import DataError, NumericalError, ValidationError, _instance, _real
 from .ordinal import _MAX_FACTORIAL, OrdinalPattern, _check_order, stabilized_census
 from .ordinal import window_codes
 from .processes import (
-    ProcessSpec, _check_count, _check_period, _check_residues, dither_kicks,
+    ProcessSpec, _check_length, _check_period, _check_residues, dither_kicks,
     generate, map_orbit, member_seed, realization_specs,
 )
 from .rng import Stream
@@ -353,8 +353,8 @@ def forbidden_patterns_of_map(
             "(logistic, piecewise-linear or shift)"
         )
     _check_order(L, hi=7)  # the result enumerates the missing patterns
-    _check_count("n_orbits", n_orbits)
-    _check_count("orbit_len", orbit_len)
+    _check_length("n_orbits", n_orbits)  # the length of the x0 array
+    _check_length("orbit_len", orbit_len)
     if orbit_len < L:
         raise ValidationError("orbit_len must be at least L")
     orbits = _orbit_batch(spec, n_orbits, orbit_len)

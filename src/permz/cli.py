@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -399,9 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process for main: parse_args keeps no state between calls,
+# and build_parser stays uncached so that a caller may change what it returns
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PermzError as exc:

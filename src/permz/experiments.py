@@ -60,8 +60,8 @@ from .entropy import z_entropy  # noqa: F401 -- perfbench traces this binding
 from .errors import DataError, PermzError, ValidationError, _instance
 from .ordinal import stabilized_census  # noqa: F401 -- perfbench traces this binding
 from .processes import (
-    _PROC_SEED_STRIDE, ProcessSpec, _check_count, _check_seed, generate,
-    realization_specs,
+    _PROC_SEED_STRIDE, ProcessSpec, _check_count, _check_length, _check_seed,
+    generate, realization_specs,
 )
 from .processes import member_seed  # noqa: F401 -- perfbench imports it from here
 
@@ -115,7 +115,7 @@ class ExperimentConfig:
         _check_count("jobs", self.jobs)
         _check_seed(self.seed)
         if self.t_max is not None:
-            _check_count("t_max", self.t_max)
+            _check_length("t_max", self.t_max)
         for name in ("orders", "alphas"):  # tuples, so that a config hashes
             value = getattr(self, name)
             if value is not None and not np.iterable(value):

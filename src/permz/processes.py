@@ -39,6 +39,7 @@ bit-identical to uncached ones; each pool worker fills its own memos.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from numbers import Real
@@ -83,10 +84,18 @@ _NOISE_AMPLITUDE = {"noisy-logistic": 0.30, "noisy-schuster": 0.25}
 _XP_AMPLITUDE_MARGIN = 1e-9  # keeps noise strictly below delta/2
 _PROC_SEED_STRIDE = 1_000_003
 _MEMO_KEYS = 8
+# the largest size that becomes an array length: fGn's 2T complex embedding,
+# 32 bytes a sample, is the largest array and stays within numpy's size limit
+_MAX_LENGTH = sys.maxsize // 32
 
 
 def _check_count(name: str, value) -> None:
     _integer(value, f"{name} must be an integer at least 1", 1)
+
+
+def _check_length(name: str, value) -> None:
+    _integer(value, f"{name} must be an integer at least 1, at most {_MAX_LENGTH}",
+             1, _MAX_LENGTH)
 
 
 def _check_seed(seed) -> None:
@@ -134,7 +143,7 @@ class ProcessSpec:
             raise ValidationError(
                 f"unknown process kind {self.kind!r}; choose from {', '.join(KINDS)}"
             )
-        _check_count("length", self.length)
+        _check_length("length", self.length)
         _check_seed(self.seed)
         takes = _TAKES[self.kind]
         for field, unset in _DEFAULTS.items():
@@ -318,7 +327,7 @@ def map_orbit(spec: ProcessSpec, x0, n: int, kicks=None) -> np.ndarray:
         step = _MAP_STEPS[spec.kind]
     else:
         raise ValidationError(f"kind {spec.kind!r} is not a map")
-    _check_count("n", n)
+    _check_length("n", n)
     x0 = _reals(x0, "x0") if np.ndim(x0) else _float(x0)
     if not np.all((0.0 <= x0) & (x0 <= 1.0)):  # nan fails both
         raise ValidationError("x0 must lie in [0, 1]")

@@ -28,6 +28,7 @@ from permz.ordinal import (
     visible_curve,
     window_codes,
 )
+from permz import processes
 from permz.processes import ProcessSpec, derive_seed, generate, map_orbit
 from permz.rng import Stream
 
@@ -574,3 +575,14 @@ def test_stabilized_census_equals_reference_around_l_factorial_windows(
 def test_period_outside_its_domain_raises_validation_error(call):
     with pytest.raises(ValidationError, match="period"):
         call()
+
+
+@pytest.mark.parametrize("n_orbits, orbit_len, named", [
+    (1, 2**63, "orbit_len"), (1, 10**400, "orbit_len"),
+    (10**400, 10, "n_orbits"), (processes._MAX_LENGTH + 1, 10, "n_orbits"),
+], ids=["orbit_len-2**63", "orbit_len-10**400", "n_orbits-10**400", "n_orbits-bound+1"])
+def test_forbidden_scan_sizes_beyond_the_array_bound(n_orbits, orbit_len, named):
+    # each raised a bare numpy error while drawing or iterating the orbits
+    with pytest.raises(ValidationError, match=f"{named} must be .* at most"):
+        forbidden_patterns_of_map(ProcessSpec("logistic", length=1), 3,
+                                  n_orbits, orbit_len)

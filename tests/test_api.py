@@ -76,8 +76,8 @@ _EXP1 = permz.ComplexityClass.exponential(1.0)
 _FAC = permz.ComplexityClass.factorial()
 _LOGISTIC = permz.ProcessSpec("logistic", length=1)
 _NO_DIR = Path(__file__) / "out"  # below a file: run_experiment refuses it before running
-# (argument, call, takes 10**400): each data, integer, order or typed entry of
-# the public API
+# (argument, call, takes _HUGE): each data, integer, order, length or typed
+# entry of the public API
 _ENTRIES = [
     ("rank_vector-window", permz.rank_vector, True),
     ("window_codes-series", lambda v: permz.window_codes(v, 3), True),
@@ -109,10 +109,17 @@ _ENTRIES = [
      lambda v: permz.forbidden_patterns_of_map(v, 3, 2, 10), False),
     ("run_experiment-config", lambda v: permz.run_experiment("fig1", v, _NO_DIR), False),
     ("parse-token", permz.ComplexityClass.parse, False),
+    ("ProcessSpec-length",
+     lambda v: permz.generate(permz.ProcessSpec("white-noise", length=v)), True),
+    ("ExperimentConfig-t_max", lambda v: permz.run_experiment(
+        "fig2", permz.ExperimentConfig(realizations=1, t_max=v), _NO_DIR), True),
+    ("map_orbit-n", lambda v: map_orbit(_LOGISTIC, 0.3, v), True),
+    ("forbidden_patterns_of_map-orbit_len",
+     lambda v: permz.forbidden_patterns_of_map(_LOGISTIC, 3, 1, v), True),
 ]
 _JUNK = {"str": "a", "None": None, "nan": math.nan, "2.5": 2.5,
          "2-d": [[1.0, 2.0]], "strs": ["a", "b", "c"]}
-_HUGE = {"10**400": 10**400}  # real-valued data and orders only: no huge length or count
+_HUGE = {"10**400": 10**400, "2**63": 2**63}  # data, orders and lengths: no huge count
 
 
 @pytest.mark.parametrize("call, value", [

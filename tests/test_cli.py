@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -543,6 +544,7 @@ def test_experiment_fig1_takes_orders(tmp_path):
     (("entropy", "--class", "subn:5"), "from 0 to 4"),
     (("generate", "--no-dither"), "'dither' does not apply to kind 'white-noise'"),
     (("entropy", "--orders", "7:3"), "the range is empty"),
+    (("experiment", "fig2", "--t-max", str(10**400)), "t_max must be an integer"),
 ])
 def test_bad_parameter_exits_2_before_any_series_is_generated(
         argv, named, monkeypatch, tmp_path, capsys):
@@ -754,3 +756,75 @@ def test_decay_over_inputs_of_different_lengths_exits_3(tmp_path, capsys):
                 "--output", path)
     assert run_cli("decay", "--order", "4", "--input", *paths) == (3, "")
     assert "ensemble members must share one series length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_generate_length_beyond_the_array_bound_exits_2(length, tmp_path, capsys):
+    # 2**63 exited 0 with an empty series file
+    out = tmp_path / "s.txt"
+    assert run_cli("generate", "--process", "white-noise", "--length", str(length),
+                   "--output", str(out)) == (2, "")
+    assert "length must be an integer at least 1, at most" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+# -- one parser per process ----------------------------------------------------
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    run_cli("xp", "--period", "2", "--orders", "3")  # the first call may build it
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli("xp", "--period", "3", "--orders", "4")[0] == 0
+    assert run_cli("census", "--order", "3", "--process", "white-noise",
+                   "--length", "50")[0] == 0
+    assert run_cli("decay")[0] == 2  # an argparse rejection
+    assert built == []
+    permz.cli.build_parser()  # the public builder still builds on each call
+    assert "permz" in built
+
+
+def test_census_inputs_do_not_carry_over_to_the_next_call(tmp_path, monkeypatch):
+    # a leaked --input list would hold both files: exit 2, one --input only
+    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    write_series(a, np.arange(50.0) % 7)
+    write_series(b, np.arange(50.0))
+    read = []
+    monkeypatch.setattr("permz.cli.read_series",
+                        lambda path: read.append(path) or read_series(path))
+    assert run_cli("census", "--order", "3", "--input", a)[0] == 0
+    del read[:]
+    code, out = run_cli("census", "--order", "3", "--input", b)
+    assert code == 0 and read == [b]
+    _, rows = read_csv_text(out)
+    assert [row[:3] for row in rows] == [["0", "012", "48"]]
+
+
+def test_decay_defaults_set_on_one_call_do_not_reach_the_next(tmp_path):
+    # the first call sets realizations and seed on its namespace; had they
+    # reached the second, --input would refuse them with exit 2
+    path = str(tmp_path / "s.txt")
+    write_series(path, permz.generate(permz.ProcessSpec("white-noise", length=2_000)))
+    assert run_cli("decay", "--order", "3", "--process", "white-noise",
+                   "--length", "2000", "--realizations", "2")[0] == 0
+    assert run_cli("decay", "--order", "3", "--input", path)[0] == 0
+
+
+def test_a_command_sequence_repeated_in_one_process_writes_the_same_files(
+        tmp_path, monkeypatch):
+    written = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # the sidecars record relative paths
+        assert run_cli("generate", "--process", "fbm", "--hurst", "0.6",
+                       "--length", "2000", "--seed", "5", "--output", "s.txt") == (0, "")
+        assert run_cli("decay", "--order", "4", "--input", "s.txt",
+                       "--output", "d.csv") == (0, "")
+        written.append([Path(f).read_bytes()
+                        for f in ("s.txt", "s.txt.json", "d.csv", "d.csv.json")])
+    assert written[0] == written[1]

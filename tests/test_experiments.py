@@ -97,10 +97,10 @@ def test_experiment_order_error_keeps_its_class():
     {"alphas": (math.nan,)}, {"alphas": (math.inf,)}, {"alphas": (0.0,)},
     {"realizations": 2.5}, {"jobs": 1.5},
     {"t_max": 0}, {"t_max": -3}, {"t_max": 2.5}, {"seed": 2.5}, {"seed": math.nan},
-    {"orders": ()}, {"alphas": ()},
+    {"orders": ()}, {"alphas": ()}, {"t_max": 2**63}, {"t_max": 10**400},
 ], ids=["alpha-nan", "alpha-inf", "alpha-0", "realizations-2.5", "jobs-1.5",
         "t_max-0", "t_max--3", "t_max-2.5", "seed-2.5", "seed-nan",
-        "orders-empty", "alphas-empty"])
+        "orders-empty", "alphas-empty", "t_max-2**63", "t_max-10**400"])
 def test_experiment_config_rejects_values_outside_their_domain(kwargs):
     with pytest.raises(ValidationError):
         ExperimentConfig(**kwargs)

@@ -492,10 +492,12 @@ def test_map_orbit_rejects_kinds_without_a_map():
     (ProcessSpec("piecewise-linear", length=1, sigma=2.7), np.array(["a"]), 5, None,
      "x0 must hold real numbers"),
     (MAPS[0], np.array([10**400]), 5, None, "x0 must hold real numbers"),
+    (MAPS[0], 0.3, 2**63, None, "n must be an integer at least 1, at most "),
+    (MAPS[0], np.array([0.3, 0.4]), 10**400, None, "n must be an integer at least 1"),
 ], ids=["n-negative", "n-float", "kicks-short", "kicks-short-batch", "kicks-scalar",
         "kicks-one-row", "kicks-no-rows", "x0-nan", "x0-inf", "x0-above",
         "x0-below", "x0-array-nan", "x0-none", "x0-string", "x0-array-string",
-        "x0-array-10**400"])
+        "x0-array-10**400", "n-2**63", "n-10**400"])
 def test_map_orbit_guards_raise_validation_error(spec, x0, n, kicks, message):
     with pytest.raises(ValidationError, match=message) as info:
         map_orbit(spec, x0, n, kicks)
@@ -634,3 +636,22 @@ def test_negative_spectrum_raises_on_every_call():
     assert len(calls) == 3
     assert processes._fgn_amplitudes.cache_info().currsize == 0
     assert generate(spec).tobytes() == _reference_generate(spec).tobytes()
+
+
+@pytest.mark.parametrize("length", [processes._MAX_LENGTH + 1, 2**63, 10**400],
+                         ids=["bound+1", "2**63", "10**400"])
+@pytest.mark.parametrize("kind", TAKES)
+def test_lengths_beyond_the_array_bound_raise_validation_error(kind, length):
+    # 2**63 gave an empty white-noise series, 10**400 numpy's bare ValueError
+    with pytest.raises(ValidationError) as info:
+        ProcessSpec(kind, length=length, **REQUIRED.get(kind, {}))
+    assert str(info.value) == (
+        f"length must be an integer at least 1, at most {processes._MAX_LENGTH}")
+
+
+def test_the_length_bound_keeps_the_fgn_embedding_within_numpy():
+    # fGn's 2T complex128 embedding is the largest array a generator makes
+    bound = processes._MAX_LENGTH
+    assert 2 * bound * np.dtype(np.complex128).itemsize <= np.iinfo(np.intp).max
+    assert 2 * (bound + 1) * np.dtype(np.complex128).itemsize > np.iinfo(np.intp).max
+    ProcessSpec("fgn", length=bound, hurst=0.3)  # accepted; never generated here
