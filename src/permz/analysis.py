@@ -24,7 +24,7 @@ from .errors import DataError, NumericalError, ValidationError, _instance, _real
 from .ordinal import _MAX_FACTORIAL, OrdinalPattern, _check_order, stabilized_census
 from .ordinal import window_codes
 from .processes import (
-    ProcessSpec, _check_length, _check_period, _check_residues, dither_kicks,
+    ProcessSpec, _check_length, _check_period, _check_residues,
     generate, map_orbit, member_seed, realization_specs,
 )
 from .rng import Stream
@@ -321,17 +321,14 @@ def _orbit_batch(
 ) -> Iterable[np.ndarray]:
     """Orbits from random initial conditions, one row per orbit: shift orbit
     i is realization i of ``spec``; a map's initial conditions are drawn by
-    realization 0's stream and orbit i is kicked by realization i + 1's.
+    realization 0's stream and map orbit i is realization i + 1's.
     Shift rows are generated one at a time, as they are taken; a map's
     rows are one ``n_orbits x orbit_len`` float64 array."""
     if spec.kind == "shift":
         members = realization_specs(replace(spec, length=orbit_len), n_orbits)
         return (generate(member) for member in members)
     x0 = 1e-6 + (1.0 - 2e-6) * Stream(member_seed(spec.seed, 0, 0)).uniforms(n_orbits)
-    kicks = [dither_kicks(spec, member_seed(spec.seed, 0, i + 1), orbit_len)
-             for i in range(n_orbits)]
-    return map_orbit(spec, x0, orbit_len,
-                     None if kicks[0] is None else np.vstack(kicks))
+    return map_orbit(replace(spec, seed=member_seed(spec.seed, 0, 1)), x0, orbit_len)
 
 
 def forbidden_patterns_of_map(
@@ -355,6 +352,7 @@ def forbidden_patterns_of_map(
     _check_order(L, hi=7)  # the result enumerates the missing patterns
     _check_length("n_orbits", n_orbits)  # the length of the x0 array
     _check_length("orbit_len", orbit_len)
+    _check_length("n_orbits * orbit_len", int(n_orbits) * int(orbit_len))
     if orbit_len < L:
         raise ValidationError("orbit_len must be at least L")
     orbits = _orbit_batch(spec, n_orbits, orbit_len)

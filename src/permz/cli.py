@@ -306,12 +306,23 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_xp(args) -> int:
     orders = _parse_orders(args.orders, hi=ordinal._MAX_FACTORIAL)
+    p = args.period
+    ProcessSpec("xp", length=1, period=p)  # the spec holds the period guard
+    # refuse an order whose largest printed integer, P1's denominator
+    # p (nu+1)!**mu nu!**(p-mu-1), has more digits than Python prints
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    for L in orders:
+        nu, mu = divmod(L, p)  # nu >= 1 below, so p converts to a float
+        if limit and nu and (math.log(p) + mu * math.lgamma(nu + 2) + (p - mu - 1)
+                             * math.lgamma(nu + 1)) / math.log(10) > limit - 1e-9:
+            raise ValidationError(f"order {L} holds integers of more than {limit} "
+                                  "digits, beyond what Python prints")
     alphas = _parse_alphas(args.alpha)
     header = ["period", "L", "nu", "mu", "N1", "N2", "P1", "P2", "allowed",
               "c"] + [f"R_a{a:g}" for a in alphas]
     rows = []
     for L in orders:
-        d = xp_distribution(args.period, L)
+        d = xp_distribution(p, L)
         rows.append(
             [d.p, d.L, d.nu, d.mu, d.N1, d.N2, str(d.P1), str(d.P2),
              d.allowed, f"{d.c:.6f}"]

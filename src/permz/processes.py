@@ -57,7 +57,6 @@ __all__ = [
     "derive_seed",
     "realization_specs",
     "map_orbit",
-    "dither_kicks",
 ]
 
 # the parameters each kind takes; every other parameter keeps its default
@@ -93,9 +92,9 @@ def _check_count(name: str, value) -> None:
     _integer(value, f"{name} must be an integer at least 1", 1)
 
 
-def _check_length(name: str, value) -> None:
-    _integer(value, f"{name} must be an integer at least 1, at most {_MAX_LENGTH}",
-             1, _MAX_LENGTH)
+def _check_length(name: str, value, lo=1) -> None:
+    _integer(value, f"{name} must be an integer at least {lo}, at most {_MAX_LENGTH}",
+             lo, _MAX_LENGTH)
 
 
 def _check_seed(seed) -> None:
@@ -286,40 +285,22 @@ _MAP_STEPS = {"logistic": _logistic, "noisy-logistic": _logistic,
               "noisy-schuster": _schuster}
 
 
-def _kick(v, u):
-    """Nudge ``v`` by ``(2u - 1) * _DITHER_SCALE``, staying inside [0, 1]."""
-    v = v + (2.0 * u - 1.0) * _DITHER_SCALE
-    return np.clip(v, 0.0, 1.0) if np.ndim(v) else min(1.0, max(0.0, float(v)))
-
-
-def dither_kicks(spec: ProcessSpec, seed: int, n: int) -> np.ndarray | None:
-    """Kicks of an ``n``-step orbit of the map of ``spec``: the first
-    uniforms of stream ``seed``, one per started block of
-    ``_DITHER_PERIOD`` steps, or ``None`` when the orbit is not dithered.
-
-    Only the zigzag map is dithered: a kick of at most ``_DITHER_SCALE``
-    at the start of each block keeps its orbit off short floating-point
-    cycles.  Slopes that are powers of two make the arithmetic exact and
-    still collapse between kicks; prefer non-dyadic sigma (or the shift
-    kind).
-    """
-    if _instance(spec, ProcessSpec, "spec").kind != "piecewise-linear" or not spec.dither:
-        return None
-    return Stream(seed).uniforms(-(-n // _DITHER_PERIOD))
-
-
-def map_orbit(spec: ProcessSpec, x0, n: int, kicks=None) -> np.ndarray:
+def map_orbit(spec: ProcessSpec, x0, n: int) -> np.ndarray:
     """``n`` iterates of the noise-free map of ``spec`` (logistic,
     Schuster or zigzag), starting with ``x0`` itself.
 
     A float ``x0`` gives one orbit, iterated in Python floats (as a one-row
     array it runs more than ten times slower).  An array of initial
-    conditions gives one row per condition, iterated as arrays; row
-    ``i`` equals the orbit of ``x0[i]`` bit for bit.
-    ``kicks`` (see :func:`dither_kicks`; one row per condition for an
-    array) are applied at the start of each block of ``_DITHER_PERIOD``
-    steps; they need one value per started block.  ``n`` must be an
-    integer at least 1 and every ``x0`` a real in [0, 1].
+    conditions gives one row per condition, iterated as arrays; row ``i``
+    equals the float orbit of ``x0[i]`` under realization ``i``,
+    ``replace(spec, seed=member_seed(spec.seed, 0, i))``; a float is orbit 0.
+    A dithered zigzag (``spec.dither``) alone is kicked: orbit ``i`` moves by
+    at most ``_DITHER_SCALE`` at the start of each block of ``_DITHER_PERIOD``
+    steps, by the next uniform of realization ``i``'s stream, which keeps it
+    off short floating-point cycles.  Slopes that are powers of two make the
+    arithmetic exact and still collapse between kicks; prefer non-dyadic
+    sigma (or the shift kind).  ``n`` must be an integer at least 1, every
+    ``x0`` a real in [0, 1], and the batch ``x0.size * n`` at most ``_MAX_LENGTH``.
     """
     if _instance(spec, ProcessSpec, "spec").kind == "piecewise-linear":
         step = partial(_zigzag, sigma=spec.sigma)
@@ -331,17 +312,19 @@ def map_orbit(spec: ProcessSpec, x0, n: int, kicks=None) -> np.ndarray:
     x0 = _reals(x0, "x0") if np.ndim(x0) else _float(x0)
     if not np.all((0.0 <= x0) & (x0 <= 1.0)):  # nan fails both
         raise ValidationError("x0 must lie in [0, 1]")
-    blocks = -(-n // _DITHER_PERIOD)
-    if kicks is not None and not (np.shape(kicks)[:-1] == np.shape(x0)
-                                  and np.shape(kicks)[-1:] >= (blocks,)):
-        raise ValidationError(f"kicks must hold one row per x0 and one value "
-                              f"per started block ({blocks})")
+    _check_length("x0.size * n", np.size(x0) * int(n), 0)  # the batch
+    kicks = None
+    if spec.kind == "piecewise-linear" and spec.dither:
+        blocks = -(-n // _DITHER_PERIOD)
+        kicks = np.reshape([Stream(member_seed(spec.seed, 0, i)).uniforms(blocks)
+                            for i in range(np.size(x0))], np.shape(x0) + (blocks,))
     out = np.empty(np.shape(x0) + (n,))
-    steps = out if out.ndim == 1 else out.T  # steps[t] holds iterate t
+    steps = np.moveaxis(out, -1, 0)  # steps[t] holds iterate t
     v = x0
     for lo in range(0, n, _DITHER_PERIOD):
         if kicks is not None:
-            v = _kick(v, kicks[..., lo // _DITHER_PERIOD])
+            v = v + (2.0 * kicks[..., lo // _DITHER_PERIOD] - 1.0) * _DITHER_SCALE
+            v = np.clip(v, 0.0, 1.0) if np.ndim(v) else min(1.0, max(0.0, float(v)))
         for t in range(lo, min(lo + _DITHER_PERIOD, n)):
             steps[t] = v
             v = step(v)
@@ -399,7 +382,7 @@ def generate(spec: ProcessSpec) -> np.ndarray:
         return _shift_series(n, stream)
     x0 = _DEFAULT_X0 if spec.x0 is None else spec.x0
     if spec.kind not in _NOISE_AMPLITUDE:
-        return map_orbit(spec, x0, n, dither_kicks(spec, spec.seed, n))
+        return map_orbit(spec, x0, n)
     amplitude = spec.amplitude
     if amplitude is None:
         amplitude = _NOISE_AMPLITUDE[spec.kind]

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _integer
+
 GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 _TWO53 = float(2.0**-53)
+_MAX_WORDS = np.iinfo(np.intp).max // 8  # the longest uint64 array numpy allocates
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -36,9 +39,10 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def raw_words(seed: int, start: int, count: int) -> np.ndarray:
-    """Return stream words ``start .. start+count-1`` as uint64."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    """Return stream words ``start .. start+count-1`` as uint64; ``count`` keeps
+    the counter below 2**64 and the array within numpy's size limit."""
+    hi = min(_MAX_WORDS, 2**64 - 1 - start)
+    _integer(count, f"count must be an integer at least 0, at most {hi}", 0, hi)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * GAMMA)

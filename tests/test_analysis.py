@@ -29,8 +29,9 @@ from permz.ordinal import (
     window_codes,
 )
 from permz import processes
-from permz.processes import ProcessSpec, derive_seed, generate, map_orbit
+from permz.processes import ProcessSpec, derive_seed, generate
 from permz.rng import Stream
+from test_processes import _reference_orbit
 
 
 # -- missing / pc traces ------------------------------------------------------
@@ -410,9 +411,9 @@ def test_orbit_batch_follows_the_seed_rule(kind, seed):
                 for i in range(n_orbits)]
     else:
         x0 = 1e-6 + (1.0 - 2e-6) * Stream(seed).uniforms(n_orbits)
-        rows = [map_orbit(spec, float(x0[i]), orbit_len,
-                          Stream(derive_seed(seed, i + 1)).uniforms(3)
-                          if kind == "piecewise-linear" else None)
+        rows = [_reference_orbit(spec, float(x0[i]), orbit_len,
+                                 Stream(derive_seed(seed, i + 1)).uniforms(3)
+                                 if kind == "piecewise-linear" else ())
                 for i in range(n_orbits)]
     batch = _orbit_batch(spec, n_orbits, orbit_len)  # shift: one row at a time
     assert np.vstack(list(batch)).tobytes() == np.vstack(rows).tobytes()
@@ -580,7 +581,9 @@ def test_period_outside_its_domain_raises_validation_error(call):
 @pytest.mark.parametrize("n_orbits, orbit_len, named", [
     (1, 2**63, "orbit_len"), (1, 10**400, "orbit_len"),
     (10**400, 10, "n_orbits"), (processes._MAX_LENGTH + 1, 10, "n_orbits"),
-], ids=["orbit_len-2**63", "orbit_len-10**400", "n_orbits-10**400", "n_orbits-bound+1"])
+    (10, 2**57, r"n_orbits \* orbit_len"), (2**57, 10, r"n_orbits \* orbit_len"),
+], ids=["orbit_len-2**63", "orbit_len-10**400", "n_orbits-10**400", "n_orbits-bound+1",
+        "batch-10x2**57", "batch-2**57x10"])
 def test_forbidden_scan_sizes_beyond_the_array_bound(n_orbits, orbit_len, named):
     # each raised a bare numpy error while drawing or iterating the orbits
     with pytest.raises(ValidationError, match=f"{named} must be .* at most"):

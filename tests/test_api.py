@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import permz
-from permz.processes import dither_kicks, map_orbit, realization_specs
+from permz.processes import map_orbit, realization_specs
 
 
 def test_public_api_is_pinned():
@@ -104,7 +104,6 @@ _ENTRIES = [
     ("generate-spec", permz.generate, False),
     ("realization_specs-spec", lambda v: realization_specs(v, 2), False),
     ("map_orbit-spec", lambda v: map_orbit(v, 0.5, 5), False),
-    ("dither_kicks-spec", lambda v: dither_kicks(v, 1, 5), False),
     ("forbidden_patterns_of_map-spec",
      lambda v: permz.forbidden_patterns_of_map(v, 3, 2, 10), False),
     ("run_experiment-config", lambda v: permz.run_experiment("fig1", v, _NO_DIR), False),
@@ -116,6 +115,9 @@ _ENTRIES = [
     ("map_orbit-n", lambda v: map_orbit(_LOGISTIC, 0.3, v), True),
     ("forbidden_patterns_of_map-orbit_len",
      lambda v: permz.forbidden_patterns_of_map(_LOGISTIC, 3, 1, v), True),
+    ("map_orbit-n-batch", lambda v: map_orbit(_LOGISTIC, np.full(64, 0.3), v), True),
+    ("forbidden_patterns_of_map-n_orbits",
+     lambda v: permz.forbidden_patterns_of_map(_LOGISTIC, 3, v, 10), True),
 ]
 _JUNK = {"str": "a", "None": None, "nan": math.nan, "2.5": 2.5,
          "2-d": [[1.0, 2.0]], "strs": ["a", "b", "c"]}
@@ -133,3 +135,12 @@ def test_junk_arguments_give_a_package_error_or_a_finite_result(call, value):
     except permz.PermzError:
         return
     assert np.all(np.isfinite(result))
+
+
+def test_readme_python_blocks_run():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("\n", 1)[1] for block in text.split("```")[1::2]
+              if block.startswith("python\n")]
+    assert blocks  # the quick start
+    for block in blocks:  # warnings are errors in the suite
+        exec(compile(block, "README.md", "exec"), {})

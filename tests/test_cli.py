@@ -404,6 +404,37 @@ def test_xp_order_beyond_factorial_exits_2(orders, capsys):
     assert "at most 9223372036854775807" in capsys.readouterr().err
 
 
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on printed integer digits, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python prints integers of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("orders", ["20000", "1000000000", "3117", "3000,20000"])
+def test_xp_order_python_cannot_print_exits_2(orders, digit_limit, tmp_path, capsys):
+    # the table was computed and then failed in Fraction.__str__ with a
+    # traceback (exit 1); 1000000000 must be refused before factorial(5 * 10**8)
+    output = tmp_path / "xp.csv"
+    code, out = run_cli("xp", "--period", "2", "--orders", orders,
+                        "--output", str(output))
+    assert code == 2 and out == "" and not output.exists()
+    assert "more than 4300 digits" in capsys.readouterr().err
+
+
+def test_xp_prints_up_to_the_digit_limit(digit_limit):
+    for orders in ("3000", "3116"):  # P1's denominator at 3116 has 4300 digits
+        code, out = run_cli("xp", "--period", "2", "--orders", orders)
+        assert code == 0 and out.count("\n") == 2
+    sys.set_int_max_str_digits(0)  # no limit
+    code, out = run_cli("xp", "--period", "2", "--orders", "20000", "--alpha", "1")
+    assert code == 0
+
+
 # -- experiment ---------------------------------------------------------------
 
 def test_experiment_table2_writes_files(tmp_path):

@@ -15,7 +15,9 @@ copying the experiment defaults.  The ``entropy`` runs over repeated,
 unsorted and ``L! > n`` order lists and ``decay --order 6`` were captured
 while every order was still coded on its own.  The two ``generate
 --process shift`` digests were captured while shift samples were still
-float dot products of the 53-bit bit windows.
+float dot products of the 53-bit bit windows.  The two ``generate
+--process piecewise-linear`` digests and the dithered map scan were
+captured while callers still passed the zigzag's kicks to ``map_orbit``.
 
 The ``--output`` runs of ``generate``, ``census``, ``entropy`` and
 ``decay`` digest the written file and its JSON sidecar, with and without
@@ -31,10 +33,13 @@ from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from permz.analysis import _orbit_batch, forbidden_patterns_of_map
 from permz.cli import main
 from permz.experiments import ExperimentConfig, run_experiment
+from permz.processes import ProcessSpec
 
 CONFIGS = {
     "fig1": ExperimentConfig(realizations=2, t_max=3000),
@@ -176,6 +181,12 @@ CLI_GOLDEN = {
     ("decay", "--process", "white-noise", "--length", "3000", "--order", "6",
      "--realizations", "3", "--seed", "14"):
         "520056f817aad9e6dc27b012dcbaeaaa7a4613418938704cbc5cbfc75b00fc3e",
+    ("generate", "--process", "piecewise-linear", "--sigma", "2.7", "--length", "25000",
+     "--seed", "5"):
+        "8dad9e2750b80e0afba9330aaa1390fffa25f37665284b2b27efce8bb75d98ce",
+    ("generate", "--process", "piecewise-linear", "--sigma", "2.7", "--length", "25000",
+     "--seed", "5", "--no-dither"):
+        "6baf01f7ee3836be52942d9b3eefd22a38c5ddde25198cc2a9d2bae911d2c774",
 }
 
 
@@ -185,6 +196,19 @@ def test_cli_outputs_match_golden_digests(argv):
     with redirect_stdout(buf):
         assert main(list(argv)) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CLI_GOLDEN[argv]
+
+
+@pytest.mark.parametrize("seed, rows_digest", [
+    (0, "53e9e7ffcba3ea04a9c5bbce3371053109e188cf177d2a73d5634082dcb98249"),
+    (-5, "72521b0f09206bc3303ee6c185ea70dc7420a46cdfb049987e7f85c7afa9b731"),
+])
+def test_dithered_map_scan_matches_golden_digests(seed, rows_digest):
+    # three kick blocks per orbit
+    spec = ProcessSpec("piecewise-linear", length=1, seed=seed, sigma=2.7)
+    rows = np.vstack(list(_orbit_batch(spec, 4, 25_000)))
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == rows_digest
+    forbidden = sorted(p.code for p in forbidden_patterns_of_map(spec, 4, 4, 25_000))
+    assert forbidden == [6, 22, 23]
 
 
 SIDECAR_GOLDEN = {

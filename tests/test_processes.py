@@ -14,10 +14,10 @@ from permz.processes import (
     KINDS,
     ProcessSpec,
     derive_seed,
-    dither_kicks,
     fgn_autocovariance,
     generate,
     map_orbit,
+    member_seed,
 )
 from permz.rng import Stream
 
@@ -450,22 +450,89 @@ MAPS = (
 )
 
 
+_REFERENCE_STEPS = {
+    "logistic": lambda v, sigma: 4.0 * v * (1.0 - v),
+    "noisy-schuster": lambda v, sigma: (v + v * v) % 1.0,
+    "piecewise-linear": lambda v, sigma: 1.0 - abs((sigma * v) % 2.0 - 1.0),
+}
+
+
+def _reference_orbit(spec, x0, n, kicks=(), period=10_000):
+    """The per-step loop of the map orbits, with its kicks written out:
+    at each step t with ``t % period == 0`` the next kick u moves the value
+    by ``(2u - 1) * 1e-14``, clipped to [0, 1], before the map steps it."""
+    step = _REFERENCE_STEPS[spec.kind]
+    v, out = float(x0), []
+    for t in range(n):
+        if len(kicks) and t % period == 0:
+            v = min(1.0, max(0.0, v + (2.0 * float(kicks[t // period]) - 1.0) * 1e-14))
+        out.append(v)
+        v = step(v, spec.sigma)
+    return np.array(out)
+
+
+def _reference_kicks(spec, n, period):
+    """The kicks of ``spec``'s orbit: one uniform of its stream per started block."""
+    if spec.kind == "piecewise-linear" and spec.dither:
+        return Stream(spec.seed).uniforms(-(-n // period))
+    return ()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    spec=st.sampled_from(MAPS),
+    spec=st.sampled_from(MAPS + (replace(MAPS[2], dither=False),)),
     x0=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                 min_size=1, max_size=6),
     n=st.integers(1, 40),
     seed=st.integers(0, 2**63),
 )
 def test_batch_orbit_rows_equal_scalar_orbits(spec, x0, n, seed):
-    # a short dither period puts several kicks inside short orbits
+    # row i is the float orbit of x0[i] under realization i; a short dither
+    # period puts several kicks inside short orbits
+    spec = replace(spec, seed=seed)
     with mock.patch.object(processes, "_DITHER_PERIOD", 7):
-        kicks = [dither_kicks(spec, seed + i, n) for i in range(len(x0))]
-        stacked = None if kicks[0] is None else np.vstack(kicks)
-        batch = map_orbit(spec, np.array(x0), n, stacked)
+        batch = map_orbit(spec, np.array(x0), n)
         for i, v in enumerate(x0):
-            assert batch[i].tobytes() == map_orbit(spec, v, n, kicks[i]).tobytes()
+            member = replace(spec, seed=member_seed(seed, 0, i))
+            assert batch[i].tobytes() == map_orbit(member, v, n).tobytes()
+            reference = _reference_orbit(member, v, n, _reference_kicks(member, n, 7), 7)
+            assert batch[i].tobytes() == reference.tobytes()
+
+
+def test_batch_orbit_of_a_2d_x0_numbers_its_orbits_in_row_major_order():
+    # a 2 x 3 array raised numpy's broadcast error, and a square one was
+    # iterated transposed
+    spec = replace(MAPS[2], seed=4)
+    for shape in ((2, 3), (2, 2)):
+        x0 = np.linspace(0.1, 0.9, math.prod(shape)).reshape(shape)
+        batch = map_orbit(spec, x0, 12_000)  # two kick blocks
+        assert batch.shape == shape + (12_000,)
+        for i, (row, v) in enumerate(zip(batch.reshape(-1, 12_000), x0.ravel())):
+            member = replace(spec, seed=member_seed(4, 0, i))
+            assert row.tobytes() == map_orbit(member, v, 12_000).tobytes()
+
+
+INVARIANT_SPECS = (
+    ProcessSpec("logistic", length=1),
+    ProcessSpec("piecewise-linear", length=1, sigma=2.7),
+    ProcessSpec("piecewise-linear", length=1, sigma=2.7, dither=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(INVARIANT_SPECS),
+    x0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    n=st.integers(1, 40),
+    seed=st.integers(-(2**64 - 1), 2**64 - 1),
+)
+def test_map_orbit_is_the_generated_series(spec, x0, n, seed):
+    spec = replace(spec, seed=seed)
+    with mock.patch.object(processes, "_DITHER_PERIOD", 7):
+        orbit = map_orbit(spec, x0, n)
+        assert orbit.tobytes() == generate(replace(spec, x0=x0, length=n)).tobytes()
+    reference = _reference_orbit(spec, x0, n, _reference_kicks(spec, n, 7), 7)
+    assert orbit.tobytes() == reference.tobytes()
 
 
 def test_map_orbit_rejects_kinds_without_a_map():
@@ -473,40 +540,37 @@ def test_map_orbit_rejects_kinds_without_a_map():
         map_orbit(ProcessSpec("fgn", length=1, hurst=0.5), 0.3, 5)
 
 
-@pytest.mark.parametrize("spec, x0, n, kicks, message", [
-    (MAPS[0], 0.3, -1, None, "n must be an integer at least 1"),
-    (MAPS[0], 0.3, 5.0, None, "n must be an integer at least 1"),
-    (MAPS[2], 0.3, 20_001, np.array([0.5]), r"one value per started block \(3\)"),
-    (MAPS[2], np.array([0.3, 0.4]), 20_001, np.full((2, 2), 0.5),
-     r"one value per started block \(3\)"),
-    (MAPS[2], 0.3, 5, 0.5, r"one value per started block \(1\)"),
-    (MAPS[2], np.array([0.3, 0.4]), 5, np.full((1, 1), 0.5), "one row per x0"),
-    (MAPS[2], np.array([0.3, 0.4]), 5, np.full(2, 0.5), "one row per x0"),
-    (MAPS[0], math.nan, 5, None, r"x0 must lie in \[0, 1\]"),
-    (MAPS[0], math.inf, 5, None, r"x0 must lie in \[0, 1\]"),
-    (MAPS[0], 1.5, 5, None, r"x0 must lie in \[0, 1\]"),
-    (MAPS[1], -0.1, 5, None, r"x0 must lie in \[0, 1\]"),
-    (MAPS[0], np.array([0.3, math.nan]), 5, None, r"x0 must lie in \[0, 1\]"),
-    (MAPS[0], None, 5, None, r"x0 must lie in \[0, 1\]"),
-    (MAPS[0], "x", 5, None, r"x0 must lie in \[0, 1\]"),
-    (ProcessSpec("piecewise-linear", length=1, sigma=2.7), np.array(["a"]), 5, None,
+@pytest.mark.parametrize("spec, x0, n, message", [
+    (MAPS[0], 0.3, -1, "n must be an integer at least 1"),
+    (MAPS[0], 0.3, 5.0, "n must be an integer at least 1"),
+    (MAPS[0], math.nan, 5, r"x0 must lie in \[0, 1\]"),
+    (MAPS[0], math.inf, 5, r"x0 must lie in \[0, 1\]"),
+    (MAPS[0], 1.5, 5, r"x0 must lie in \[0, 1\]"),
+    (MAPS[1], -0.1, 5, r"x0 must lie in \[0, 1\]"),
+    (MAPS[0], np.array([0.3, math.nan]), 5, r"x0 must lie in \[0, 1\]"),
+    (MAPS[0], None, 5, r"x0 must lie in \[0, 1\]"),
+    (MAPS[0], "x", 5, r"x0 must lie in \[0, 1\]"),
+    (ProcessSpec("piecewise-linear", length=1, sigma=2.7), np.array(["a"]), 5,
      "x0 must hold real numbers"),
-    (MAPS[0], np.array([10**400]), 5, None, "x0 must hold real numbers"),
-    (MAPS[0], 0.3, 2**63, None, "n must be an integer at least 1, at most "),
-    (MAPS[0], np.array([0.3, 0.4]), 10**400, None, "n must be an integer at least 1"),
-], ids=["n-negative", "n-float", "kicks-short", "kicks-short-batch", "kicks-scalar",
-        "kicks-one-row", "kicks-no-rows", "x0-nan", "x0-inf", "x0-above",
+    (MAPS[0], np.array([10**400]), 5, "x0 must hold real numbers"),
+    (MAPS[0], 0.3, 2**63, "n must be an integer at least 1, at most "),
+    (MAPS[0], np.array([0.3, 0.4]), 10**400, "n must be an integer at least 1"),
+    (MAPS[0], np.full(64, 0.3), 2**57, r"x0.size \* n must be an integer at least 0, "),
+    (MAPS[2], np.full(64, 0.3), 2**57, r"x0.size \* n must be an integer at least 0, "),
+    (MAPS[0], np.full(64, 0.3), np.int64(2**57), r"x0.size \* n must be an integer "),
+], ids=["n-negative", "n-float", "x0-nan", "x0-inf", "x0-above",
         "x0-below", "x0-array-nan", "x0-none", "x0-string", "x0-array-string",
-        "x0-array-10**400", "n-2**63", "n-10**400"])
-def test_map_orbit_guards_raise_validation_error(spec, x0, n, kicks, message):
+        "x0-array-10**400", "n-2**63", "n-10**400", "batch-64x2**57",
+        "batch-zigzag-64x2**57", "batch-64xint64"])
+def test_map_orbit_guards_raise_validation_error(spec, x0, n, message):
     with pytest.raises(ValidationError, match=message) as info:
-        map_orbit(spec, x0, n, kicks)
+        map_orbit(spec, x0, n)
     assert info.value.exit_code == 2
 
 
 def test_map_orbit_takes_the_closed_unit_interval():
     assert map_orbit(MAPS[0], 1.0, 3).tolist() == [1.0, 0.0, 0.0]
-    assert map_orbit(MAPS[2], 0.0, 2, np.array([0.5])).tolist() == [0.0, 0.0]
+    assert map_orbit(replace(MAPS[2], dither=False), 0.0, 2).tolist() == [0.0, 0.0]
 
 
 def test_fgn_autocovariance_takes_the_generators_lag_array():

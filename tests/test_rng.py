@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from permz.errors import ValidationError
 from permz.rng import GAMMA, Stream, raw_words
 
 M64 = (1 << 64) - 1
@@ -70,3 +72,26 @@ def test_bits_are_balanced():
 
 def test_gamma_constant():
     assert int(GAMMA) == 0x9E3779B97F4A7C15
+
+
+@pytest.mark.parametrize("start, count", [
+    (0, 2**63), (0, 2**62), (0, 2.5), (0, -1), (0, None), (2**64 - 5, 5),
+], ids=["count-2**63", "count-2**62", "count-2.5", "count-negative", "count-none",
+        "counter-2**64"])
+def test_raw_words_refuses_what_it_cannot_draw(start, count):
+    # 2**63 gave an empty array, 2.5 three words and -1 a bare ValueError
+    with pytest.raises(ValidationError, match="must be an integer at least 0") as info:
+        raw_words(0, start, count)
+    assert info.value.exit_code == 2
+
+
+def test_raw_words_reach_the_last_counter():
+    assert np.array_equal(raw_words(3, 2**64 - 5, 4)[:3], raw_words(3, 2**64 - 5, 3))
+
+
+def test_stream_draws_refuse_counts_beyond_the_array_limit():
+    for draw in (Stream(0).uniforms, Stream(0).gaussians, Stream(0).bits):
+        with pytest.raises(ValidationError, match="count must be"):
+            draw(2**63)
+        with pytest.raises(ValidationError, match="count must be"):
+            draw(-3)
