@@ -100,25 +100,30 @@ def _emit(header: list[str], rows: list[list], args) -> None:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-def _parse_orders(text: str, hi=ordinal._MAX_ORDER) -> tuple[int, ...]:
+def _parse_orders(text: str, hi=ordinal._MAX_ORDER, largest=None) -> tuple[int, ...]:
+    """One order, a comma list or a range ``first:last``, each in ``[2, hi]``.
+
+    ``largest``, if given, checks the largest order before a range is
+    built: a bound that never decreases in L refuses a long range at once.
+    """
     text = text.strip()
     try:
         if ":" in text:
             first, last = (int(tok) for tok in text.split(":", 1))
-            for L in (first, last):  # before the range is built
-                ordinal._check_order(L, hi)
-            orders = tuple(range(first, last + 1))
+            ends, orders = (first, last), range(first, last + 1)
         else:
-            orders = tuple(int(tok) for tok in text.split(","))
+            ends = orders = tuple(int(tok) for tok in text.split(","))
+        for L in ends:  # a range's ends bound every order in it
+            ordinal._check_order(L, hi)
         if not orders:
             raise ValueError("the range is empty")
-        for L in orders:
-            ordinal._check_order(L, hi)
     except ValueError as exc:  # ValidationError included
         raise ValidationError(
             f"bad --orders {text!r} ({exc}); use e.g. '6', '3,5,7' or '3:7'"
         ) from None
-    return orders
+    if largest is not None:
+        largest(max(ends))
+    return tuple(orders)
 
 
 def _check_order_option(L: int) -> int:
@@ -304,19 +309,24 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_xp(args) -> int:
-    orders = _parse_orders(args.orders, hi=ordinal._MAX_FACTORIAL)
-    p = args.period
+def _check_xp_order(p: int, L: int) -> None:
+    """Refuse period ``p``, or order ``L`` if its largest printed integer,
+    P1's denominator p (nu+1)!**mu nu!**(p-mu-1), has more digits than
+    Python prints.  That digit count never decreases in L at a fixed
+    period, so the largest order of a list decides."""
     ProcessSpec("xp", length=1, period=p)  # the spec holds the period guard
-    # refuse an order whose largest printed integer, P1's denominator
-    # p (nu+1)!**mu nu!**(p-mu-1), has more digits than Python prints
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    for L in orders:
-        nu, mu = divmod(L, p)  # nu >= 1 below, so p converts to a float
-        if limit and nu and (math.log(p) + mu * math.lgamma(nu + 2) + (p - mu - 1)
-                             * math.lgamma(nu + 1)) / math.log(10) > limit - 1e-9:
-            raise ValidationError(f"order {L} holds integers of more than {limit} "
-                                  "digits, beyond what Python prints")
+    nu, mu = divmod(L, p)  # nu >= 1 below, so p converts to a float
+    if limit and nu and (math.log(p) + mu * math.lgamma(nu + 2) + (p - mu - 1)
+                         * math.lgamma(nu + 1)) / math.log(10) > limit - 1e-9:
+        raise ValidationError(f"order {L} holds integers of more than {limit} "
+                              "digits, beyond what Python prints")
+
+
+def _cmd_xp(args) -> int:
+    p = args.period
+    orders = _parse_orders(args.orders, hi=ordinal._MAX_FACTORIAL,
+                           largest=partial(_check_xp_order, p))
     alphas = _parse_alphas(args.alpha)
     header = ["period", "L", "nu", "mu", "N1", "N2", "P1", "P2", "allowed",
               "c"] + [f"R_a{a:g}" for a in alphas]

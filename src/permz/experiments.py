@@ -238,7 +238,7 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
     alpha 0 gives the topological Z-entropy of the support (its
     ``math.log``, which can differ from R_0's ``np.log`` in the last bit)."""
     count = partial(ordinal._census, stabilized=stabilized)
-    coded = ordinal._codes_per_order(series, orders)
+    coded = ordinal._position_codes(series, orders)
     out = {}
     # map holds no code array once it is counted
     for L, (_, counts) in zip(orders, map(count, coded, orders)):
@@ -252,13 +252,13 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
 
 def _g_curve_and_support(series, L: int) -> tuple[np.ndarray, list[int]]:
     """``ln A_{L,T}`` at every prefix length and the codes seen (small L)."""
-    codes = ordinal.window_codes(series, L)
+    codes = ordinal._positions(series, L)
     return np.log(ordinal._prefix_curve(codes, L)), ordinal._census(codes, L)[0].tolist()
 
 
 def missing_curves(series, orders) -> dict[int, np.ndarray]:
     """Missing-pattern count ``L! - A`` at every prefix length, per order."""
-    curves = map(ordinal._prefix_curve, ordinal._codes_per_order(series, orders), orders)
+    curves = map(ordinal._prefix_curve, ordinal._position_codes(series, orders), orders)
     return {L: math.factorial(L) - curve for L, curve in zip(orders, curves)}
 
 

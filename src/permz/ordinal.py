@@ -8,10 +8,13 @@ keyed by their Lehmer code, an integer in ``[0, L!)``.
 Every census lives here: each slides a stride-1 window over the series
 (``N - L + 1`` windows of a series of length ``N``) and counts them by
 the one census rule, ``_census``, which owns block size, stop and order
-and returns code and count arrays.  Codes come from running sums of
-comparisons over the lags (``_lag_sums``), built once per series up to its
-largest order: ``_codes_per_order`` serves every order of a series from one
-pass, and ``window_codes`` is its one-order case.
+and returns code and count arrays.  Windows are coded by position codes,
+the Lehmer code of the rank of each position, which follow order by order
+from running sums of comparisons over the lags (``_lag_sums``), built once
+per series up to its largest order: ``_position_codes`` serves every order
+of a series from one pass at one multiply-add per order.  ``_lehmer`` names
+the pattern of a position code; the censuses name only the codes they keep,
+and ``window_codes`` names every window's.
 """
 
 from __future__ import annotations
@@ -181,51 +184,35 @@ def lehmer_decode(code: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _lag_sums(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+def _lag_sums(x: np.ndarray, top: int) -> np.ndarray:
     """Running sums over the lags of ``c_l[t] = x[t - l] > x[t]``, ``l < top``.
 
-    ``E[a, t] = sum_{l <= a} c_l[t]`` and ``F[k, u] = sum_{j <= k} c_j[u + j]``,
-    so in the window at ``w`` position ``a`` has ``e_a = E[a, w + a]``
-    earlier positions with a larger value and ``l_a = F[L - 1 - a, w + a]``
-    later ones with a smaller value, whatever the order ``L <= top``.
+    ``F[k, u] = sum_{j <= k} c_j[u + j]`` counts the values among the next
+    ``k`` that lie below ``x[u]``, so in the window at ``w`` position ``a``
+    has ``l_a = F[L - 1 - a, w + a]`` later positions with a smaller value,
+    whatever the order ``L <= top``.
     """
     N = x.size
-    E = np.zeros((top, N), dtype=np.int8)
     F = np.zeros((top, N), dtype=np.int8)
     for lag in range(1, top):
-        above = x[: N - lag] > x[lag:]  # c_lag[t] at index t - lag
-        np.add(E[lag - 1, lag:], above, out=E[lag, lag:])
-        np.add(F[lag - 1, : N - lag], above, out=F[lag, : N - lag])
-    return E, F
+        row = F[lag, : N - lag]
+        np.greater(x[: N - lag], x[lag:], out=row)  # c_lag[t] at index t - lag
+        row += F[lag - 1, : N - lag]
+    return F
 
 
-def _order_codes(E: np.ndarray, F: np.ndarray, L: int) -> np.ndarray:
-    """Codes of every ``L``-window from the lag sums, by the rule of
-    :func:`window_codes`.  The terms are nonnegative, so every partial sum
-    fits the narrowest integer that holds ``L! - 1``, the fastest to add."""
-    n = E.shape[1] - L + 1
-    dtype = np.min_scalar_type(-factorial(L))
-    weight = np.array([factorial(L - 1 - r) for r in range(L)], dtype=dtype)
-    codes = np.zeros(n, dtype=dtype)
-    rank = np.empty(n, dtype=np.intp)
-    term = np.empty(n, dtype=dtype)
-    for a in range(1, L):  # e_0 = 0
-        e = E[a, a : a + n]
-        np.subtract(F[L - 1 - a, a : a + n], e, out=rank, dtype=np.intp)
-        rank += a
-        weight.take(rank, out=term, mode="clip")  # 0 <= rank < L: no clipping
-        term *= e
-        codes += term
-    return codes.astype(np.int64, copy=False)
+def _position_codes(series, orders):
+    """Iterator over the position codes of every window of the series at
+    each of ``orders``, in the order given (repeats included).
 
-
-def _codes_per_order(series, orders):
-    """Iterator over :func:`window_codes` of the series at each of
-    ``orders``, in the order given (repeats included).
-
-    The lag sums up to the largest order are built once and serve every
-    order.  Orders, the series and its length are checked before any
-    work; the sums are released once the last order is coded.
+    The position code of the window at ``w`` is ``P_L[w] = sum_a l_a (L-1-a)!``,
+    the Lehmer code of the rank of each position; :func:`_lehmer` names its
+    pattern.  With the lag sums it follows from ``P_2 = F[1]`` and
+    ``P_{L+1}[w] = P_L[w + 1] + L! F[L, w]``: one multiply-add per order,
+    each in the narrowest integer that holds ``L! - 1``.  The lag sums up
+    to the largest order are built once and serve every order.  Orders,
+    the series and its length are checked before any work; the sums are
+    released before the first order is used.
     """
     orders = tuple(orders)
     for L in orders:
@@ -240,12 +227,68 @@ def _codes_per_order(series, orders):
 def _coded(x: np.ndarray, orders: tuple[int, ...]):
     if not orders:
         return
-    E, F = _lag_sums(x, max(orders))
-    for i, L in enumerate(orders):
-        codes = _order_codes(E, F, L)
-        if i == len(orders) - 1:
-            del E, F  # not held while the last order's codes are used
-        yield codes
+    top = max(orders)
+    F = _lag_sums(x, top)
+    pos, kept = F[1, : x.size - 1].copy(), {}  # P_2, not a view that holds F
+    for L in range(2, top + 1):
+        if L > 2:
+            step = np.multiply(F[L - 1, : pos.size - 1], factorial(L - 1),
+                               dtype=np.min_scalar_type(-factorial(L)))
+            step += pos[1:]
+            pos = step
+        if L in orders:
+            kept[L] = pos
+    del F, pos
+    for L in orders:
+        yield kept[L]
+
+
+def _positions(series, L: int) -> np.ndarray:
+    return next(_position_codes(series, (L,)))
+
+
+def _lehmer(pos: np.ndarray, L: int) -> np.ndarray:
+    """Lehmer codes (int64) of the patterns whose position codes are ``pos``.
+
+    Digit ``l_a = pos // (L-1-a)! % (L-a)`` counts the later positions of
+    smaller value, so it is the rank of position ``a`` among positions
+    ``a..L-1``; taken from the last position back, these give the rank
+    ``r_a`` in the window, then ``e_a = a + l_a - r_a`` and the code of
+    :func:`window_codes`.
+    """
+    digit = np.zeros((L, pos.size), dtype=np.int8)  # the last digit is 0
+    q = pos.astype(np.min_scalar_type(-factorial(L)))
+    for a in range(L - 2, 0, -1):  # mixed radix, from the last digit back
+        top = q // (L - a)
+        np.subtract(q, top * (L - a), out=digit[a], casting="unsafe")
+        q = top
+    digit[0] = q
+    rank = digit.copy()
+    for a in range(L - 2, -1, -1):
+        later = rank[a + 1 :]
+        later += later >= rank[a]
+    weight = np.array([factorial(L - 1 - r) for r in range(L)], dtype=np.int64)
+    codes = np.zeros(pos.size, dtype=np.int64)
+    for a in range(1, L):  # e_0 = 0
+        e = digit[a] - rank[a]
+        e += a
+        codes += e * weight.take(rank[a])
+    return codes
+
+
+def _codes_per_order(series, orders):
+    """Iterator over :func:`window_codes` of the series at each of
+    ``orders``, in the order given (repeats included): the position codes
+    of :func:`_position_codes`, named through a table of every code when
+    ``L!`` is at most the window count and window by window otherwise."""
+    orders = tuple(orders)
+    return map(_window_lehmer, _position_codes(series, orders), orders)
+
+
+def _window_lehmer(pos: np.ndarray, L: int) -> np.ndarray:
+    if factorial(L) > pos.size:
+        return _lehmer(pos, L)
+    return _lehmer(np.arange(factorial(L)), L)[pos]
 
 
 def window_codes(series, L: int) -> np.ndarray:
@@ -254,36 +297,46 @@ def window_codes(series, L: int) -> np.ndarray:
     For window position ``a``, ``e_a`` counts the earlier positions with
     a larger value and ``l_a`` the later ones with a smaller value.  The
     stable-sort rank of ``a`` is ``r_a = a - e_a + l_a`` and the code is
-    ``sum_a e_a * (L - 1 - r_a)!``.  Both counts come from running sums
-    of shifted-slice comparisons over the lags ``1..L-1``: no sort.
+    ``sum_a e_a * (L - 1 - r_a)!``.  The ``l_a`` are the digits of the
+    window's position code (:func:`_position_codes`), built from running
+    sums of shifted-slice comparisons over the lags ``1..L-1``: no sort.
     """
     return next(_codes_per_order(series, (L,)))
 
 
-def _census(codes: np.ndarray, L: int, stabilized: bool = False) -> tuple:
+def _census(pos: np.ndarray, L: int, stabilized: bool = False) -> tuple:
     """The census rule of :func:`stabilized_census` (``5 * L!`` blocks) or of
-    :func:`pattern_census`: the codes seen, by first block then code, and their counts."""
-    n = codes.size
-    if factorial(L) > n:  # every block rule gives one block: code order
-        return np.unique(codes, return_counts=True)
-    m = factorial(L)  # one column per code
+    :func:`pattern_census` over position codes: the Lehmer codes seen, by
+    first block then code, and their counts."""
+    n, m = pos.size, factorial(L)
+    if m > n:  # every block rule gives one block
+        seen, counts = np.unique(pos, return_counts=True)
+        codes = _lehmer(seen, L)
+        order = np.argsort(codes)
+        return codes[order], counts[order]
     block = 5 * m if stabilized else n
     n_blocks = -(-n // block)
-    # row-major (block, code) cells; a lone block needs no block index
-    cell = codes if n_blocks == 1 else np.arange(n) // block * m + codes
-    cum = np.bincount(cell, minlength=n_blocks * m).reshape(n_blocks, m)
-    cum = cum.cumsum(axis=0)
-    used = cum.sum(axis=1)
-    drift = np.abs(np.diff(cum / used[:, None], axis=0)).max(axis=1)
+    # (code, block) cells, so that each code's running count is contiguous;
+    # a lone block needs no block index
+    cell = pos
+    if n_blocks > 1:
+        grid = np.empty((n_blocks, block), dtype=np.intp)  # the last block padded
+        cell = grid.reshape(-1)[:n]
+        np.multiply(pos, n_blocks, out=cell, dtype=np.intp)
+        grid += np.arange(n_blocks)[:, None]
+    cum = np.bincount(cell, minlength=m * n_blocks).reshape(m, n_blocks).cumsum(axis=1)
+    used = np.minimum(np.arange(1, n_blocks + 1) * block, n)  # windows after each block
+    drift = np.abs(np.diff(cum / used, axis=1)).max(axis=0)
     settled = np.flatnonzero(drift <= 1e-4)
-    row = settled[0] + 1 if settled.size else n_blocks - 1
-    kept = np.argsort((cum > 0).argmax(axis=0), kind="stable")
-    kept = kept[cum[row, kept] > 0]
-    return kept, cum[row, kept]
+    stop = settled[0] + 1 if settled.size else n_blocks - 1
+    seen = np.flatnonzero(cum[:, stop])
+    codes = _lehmer(seen, L)
+    order = np.lexsort((codes, (cum[seen] > 0).argmax(axis=1)))
+    return codes[order], cum[seen[order], stop]
 
 
 def _distribution(series, L: int, stabilized: bool) -> PatternDistribution:
-    codes, counts = _census(window_codes(series, L), L, stabilized)
+    codes, counts = _census(_positions(series, L), L, stabilized)
     return PatternDistribution(L, dict(zip(codes.tolist(), counts.tolist())),
                                int(counts.sum()))
 
@@ -318,12 +371,12 @@ def visible_curve(series, L: int) -> np.ndarray:
     This array is the one form of the prefix curve; the missing counts
     are ``L! - curve`` and the complexity function is ``ln(curve)``.
     """
-    return _prefix_curve(window_codes(series, L), L)
+    return _prefix_curve(_positions(series, L), L)
 
 
 def _prefix_curve(codes: np.ndarray, L: int) -> np.ndarray:
-    """:func:`visible_curve` of these codes: each code is counted at its
-    first occurrence."""
+    """:func:`visible_curve` of these codes, Lehmer or position codes
+    alike: each code is counted at its first occurrence."""
     m, col = factorial(L), codes  # a column per code
     if m > codes.size:  # or, when L! > n windows, per distinct code
         uniq, col = np.unique(codes, return_inverse=True)

@@ -33,9 +33,14 @@ _MAX_WORDS = np.iinfo(np.intp).max // 8  # the longest uint64 array numpy alloca
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The SplitMix64 finalizer, in place."""
+    t = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        if mix is not None:
+            z *= mix
+    return z
 
 
 def raw_words(seed: int, start: int, count: int) -> np.ndarray:
@@ -43,9 +48,11 @@ def raw_words(seed: int, start: int, count: int) -> np.ndarray:
     the counter below 2**64 and the array within numpy's size limit."""
     hi = min(_MAX_WORDS, 2**64 - 1 - start)
     _integer(count, f"count must be an integer at least 0, at most {hi}", 0, hi)
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * GAMMA)
+        z *= GAMMA
+        z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        return _mix64(z)
 
 
 class Stream:
@@ -59,20 +66,24 @@ class Stream:
         """Next ``count`` doubles, i.i.d. uniform on [0, 1)."""
         words = raw_words(self.seed, self._pos, count)
         self._pos += count
-        return (words >> np.uint64(11)).astype(np.float64) * _TWO53
+        words >>= np.uint64(11)
+        u = words.astype(np.float64)
+        u *= _TWO53
+        return u
 
     def gaussians(self, count: int) -> np.ndarray:
         """Next ``count`` i.i.d. standard normal doubles (Box-Muller)."""
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs)
-        u1 = u[0::2] + _TWO53  # shift into (0, 1] so log is finite
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:count]
+        r = u[0::2] + _TWO53  # shift into (0, 1] so log is finite
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = u[1::2] * (2.0 * np.pi)
+        np.multiply(r, np.cos(theta), out=u[0::2])  # u is read: its halves take the output
+        np.sin(theta, out=theta)
+        np.multiply(r, theta, out=u[1::2])
+        return u[:count]
 
     def bits(self, count: int) -> np.ndarray:
         """Next ``count`` fair bits (one stream word per bit, top bit)."""

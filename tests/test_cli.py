@@ -426,6 +426,20 @@ def test_xp_order_python_cannot_print_exits_2(orders, digit_limit, tmp_path, cap
     assert "more than 4300 digits" in capsys.readouterr().err
 
 
+def test_xp_range_is_refused_by_its_largest_order_before_it_is_built(digit_limit,
+                                                                     capsys):
+    # the whole range used to be listed first: 10^6 orders took seconds and 40 MB
+    tracemalloc.start()
+    try:
+        code, out = run_cli("xp", "--period", "2", "--orders", "2:1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and peak < 1_000_000
+    assert ("order 1000000 holds integers of more than 4300 digits"
+            in capsys.readouterr().err)
+
+
 def test_xp_prints_up_to_the_digit_limit(digit_limit):
     for orders in ("3000", "3116"):  # P1's denominator at 3116 has 4300 digits
         code, out = run_cli("xp", "--period", "2", "--orders", orders)

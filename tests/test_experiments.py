@@ -120,6 +120,14 @@ def test_t_max_below_the_largest_order_is_rejected_before_any_series(
     assert calls == []
 
 
+def test_fig1_runs_at_a_t_max_equal_to_the_largest_order():
+    # one window per series at L = 7: one pattern, so every L = 7 cell is 0
+    result = run_experiment("fig1", ExperimentConfig(realizations=1, t_max=7))
+    cells = result.summary["curves"]
+    assert len(cells) == 7 * 5 * 3 and all(math.isfinite(v) for v in cells.values())
+    assert all(v == 0.0 for key, v in cells.items() if "|L7|" in key)
+
+
 def test_alphas_sharing_a_label_are_rejected_before_any_series(monkeypatch):
     # both alphas print as "1": one fig1_alpha1.csv and 7 of 14 summary curves
     calls = []
@@ -298,12 +306,9 @@ def test_missing_curves_code_each_series_once(monkeypatch):
 def test_fig3_measure_codes_each_series_once(monkeypatch):
     series = generate(ProcessSpec("xp", length=50, seed=3, period=4))
     want = (np.log(visible_curve(series, 6)), list(pattern_census(series, 6).counts))
-    calls = []
-    window_codes = ordinal.window_codes
-    monkeypatch.setattr(ordinal, "window_codes",
-                        lambda x, L: calls.append(L) or window_codes(x, L))
+    tops = _count_lag_sums(monkeypatch)
     g, support = _g_curve_and_support(series, 6)
-    assert calls == [6]
+    assert tops == [6]
     assert g.tobytes() == want[0].tobytes() and support == want[1]
 
 

@@ -396,16 +396,16 @@ def test_codes_per_order_releases_the_lag_sums_with_the_last_order(monkeypatch):
 
     def kept(x, top):
         out = lag_sums(x, top)
-        sums.extend(weakref.ref(a) for a in out)
+        sums.append(weakref.ref(out))
         return out
 
     lag_sums = ordinal._lag_sums
     monkeypatch.setattr(ordinal, "_lag_sums", kept)
     coded = _codes_per_order(np.random.default_rng(1).normal(size=100), (5, 3))
     next(coded)
-    assert len(sums) == 2 and all(ref() is not None for ref in sums)
+    assert len(sums) == 1
     next(coded)  # the last order: the sums are gone before it is used
-    assert all(ref() is None for ref in sums)
+    assert sums[0]() is None
 
 
 # a few value levels make ties; a leading run of equal values makes
@@ -496,3 +496,127 @@ def test_census_and_curve_equal_references_around_l_factorial_windows(
 def test_census_and_curve_equal_references_on_short_series(x, L):
     assume(x.size >= L)
     assert_census_and_curve_equal_references(x, L)
+
+
+# -- the gather coder and the row-major census, kept as oracles for the
+# -- position codes, _lehmer and the (code, block) census ---------------------
+
+def gather_lag_sums(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``E[a, t] = sum_{l <= a} c_l[t]`` and ``F[k, u] = sum_{j <= k} c_j[u + j]``
+    for ``c_l[t] = x[t - l] > x[t]``."""
+    N = x.size
+    E = np.zeros((top, N), dtype=np.int8)
+    F = np.zeros((top, N), dtype=np.int8)
+    for lag in range(1, top):
+        above = x[: N - lag] > x[lag:]
+        np.add(E[lag - 1, lag:], above, out=E[lag, lag:])
+        np.add(F[lag - 1, : N - lag], above, out=F[lag, : N - lag])
+    return E, F
+
+
+def gather_order_codes(E: np.ndarray, F: np.ndarray, L: int) -> np.ndarray:
+    """Codes of every ``L``-window from ``e_a = E[a, w + a]`` and
+    ``l_a = F[L - 1 - a, w + a]``: one weight gather per position."""
+    n = E.shape[1] - L + 1
+    dtype = np.min_scalar_type(-math.factorial(L))
+    weight = np.array([math.factorial(L - 1 - r) for r in range(L)], dtype=dtype)
+    codes = np.zeros(n, dtype=dtype)
+    rank = np.empty(n, dtype=np.intp)
+    term = np.empty(n, dtype=dtype)
+    for a in range(1, L):
+        e = E[a, a : a + n]
+        np.subtract(F[L - 1 - a, a : a + n], e, out=rank, dtype=np.intp)
+        rank += a
+        weight.take(rank, out=term, mode="clip")
+        term *= e
+        codes += term
+    return codes.astype(np.int64, copy=False)
+
+
+def gather_window_codes(series, L: int) -> np.ndarray:
+    x = np.asarray(series, dtype=np.float64)
+    return gather_order_codes(*gather_lag_sums(x, L), L)
+
+
+def row_major_census(codes: np.ndarray, L: int, stabilized: bool = False) -> tuple:
+    """The census rule over Lehmer codes with (block, code) cells: the codes
+    seen, by first block then code, and their counts."""
+    n = codes.size
+    if math.factorial(L) > n:
+        return np.unique(codes, return_counts=True)
+    m = math.factorial(L)
+    block = 5 * m if stabilized else n
+    n_blocks = -(-n // block)
+    cell = codes if n_blocks == 1 else np.arange(n) // block * m + codes
+    cum = np.bincount(cell, minlength=n_blocks * m).reshape(n_blocks, m)
+    cum = cum.cumsum(axis=0)
+    used = cum.sum(axis=1)
+    drift = np.abs(np.diff(cum / used[:, None], axis=0)).max(axis=1)
+    settled = np.flatnonzero(drift <= 1e-4)
+    row = settled[0] + 1 if settled.size else n_blocks - 1
+    kept = np.argsort((cum > 0).argmax(axis=0), kind="stable")
+    kept = kept[cum[row, kept] > 0]
+    return kept, cum[row, kept]
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=coder_series(), L=st.integers(2, 20))
+@example(x=np.array([0.0, -0.0, 1.0, -0.0, 0.0] * 5), L=4)
+@example(x=np.array([1.0, 1.0, 0.0] * 8), L=20)
+def test_window_codes_equal_the_gather_coder(x, L):
+    codes = window_codes(x, L)
+    assert codes.dtype == np.int64
+    assert np.array_equal(codes, gather_window_codes(x, L))
+
+
+def assert_census_equals_row_major(x, L, stabilized):
+    codes, counts = ordinal._census(ordinal._positions(x, L), L, stabilized)
+    want_codes, want_counts = row_major_census(window_codes(x, L), L, stabilized)
+    assert codes.dtype == want_codes.dtype and counts.dtype == want_counts.dtype
+    # codes, counts and their order
+    assert codes.tolist() == want_codes.tolist()
+    assert counts.tolist() == want_counts.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=coder_series(), L=st.integers(2, 8), stabilized=st.booleans())
+def test_census_of_position_codes_equals_the_row_major_census(x, L, stabilized):
+    assert_census_equals_row_major(x, L, stabilized)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_census_of_position_codes_equals_the_row_major_census_at_length(kind):
+    x = generate(ProcessSpec(kind, length=20_000, seed=17,
+                             **_KIND_PARAMETERS.get(kind, {})))
+    for L in (2, 3, 4, 5, 6, 7, 9):
+        for stabilized in (True, False):
+            assert_census_equals_row_major(x, L, stabilized)
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tuple(inv)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_lehmer_names_the_inverse_of_every_permutation(L):
+    # a position code is the Lehmer code of the rank of each position;
+    # the pattern is the inverse permutation, positions by rank
+    perms = list(permutations(range(L)))
+    pos = np.array([lehmer_encode(p) for p in perms])
+    assert np.array_equal(pos, np.arange(math.factorial(L)))
+    want = [lehmer_encode(_inverse(p)) for p in perms]
+    got = ordinal._lehmer(pos, L)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(perms=st.integers(2, 20).flatmap(
+    lambda L: st.lists(st.permutations(range(L)), min_size=1, max_size=20)))
+def test_lehmer_names_the_inverse_of_random_permutations(perms):
+    L = len(perms[0])
+    pos = np.array([lehmer_encode(p) for p in perms], dtype=np.int64)
+    want = [lehmer_encode(_inverse(p)) for p in perms]
+    assert ordinal._lehmer(pos, L).tolist() == want

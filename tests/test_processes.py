@@ -128,6 +128,15 @@ def test_a_parameter_outside_its_range_is_named(kind, params, message):
     assert type(info.value) is ValidationError and str(info.value) == message
 
 
+@pytest.mark.parametrize("kind", ["logistic", "noisy-logistic", "noisy-schuster"])
+def test_logistic_x0_at_zero_is_refused(kind):
+    # 0 is a fixed point of the logistic map: the interval is open at both ends
+    with pytest.raises(ValidationError) as info:
+        ProcessSpec(kind, length=10, x0=0.0)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "x0 must lie inside (0, 1)"
+
+
 @pytest.mark.parametrize("kind, field, extra", [
     ("fbm", "hurst", {}),
     ("noisy-logistic", "amplitude", {}),

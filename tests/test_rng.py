@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permz.errors import ValidationError
 from permz.rng import GAMMA, Stream, raw_words
@@ -95,3 +96,62 @@ def test_stream_draws_refuse_counts_beyond_the_array_limit():
             draw(2**63)
         with pytest.raises(ValidationError, match="count must be"):
             draw(-3)
+
+
+# -- the allocating formulas, kept as oracles for the in-place kernels --------
+
+def _oracle_mix64(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def oracle_raw_words(seed, start, count):
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _oracle_mix64(np.uint64(seed & M64) + idx * GAMMA)
+
+
+def oracle_uniforms(seed, start, count):
+    words = oracle_raw_words(seed, start, count)
+    return (words >> np.uint64(11)).astype(np.float64) * float(2.0**-53)
+
+
+def oracle_gaussians(seed, start, count):
+    pairs = (count + 1) // 2
+    u = oracle_uniforms(seed, start, 2 * pairs)
+    u1 = u[0::2] + float(2.0**-53)
+    u2 = u[1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:count]
+
+
+seeds = st.integers(-(2**63), 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, start=st.integers(0, 2**64 - 1 - 10**4), count=st.integers(0, 10**4))
+def test_raw_words_equal_the_oracle(seed, start, count):
+    got, want = raw_words(seed, start, count), oracle_raw_words(seed, start, count)
+    assert got.dtype == np.uint64 and got.shape == (count,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, draws=st.lists(st.tuples(st.sampled_from(["uniforms", "gaussians"]),
+                                            st.integers(0, 10**4)),
+                                  min_size=1, max_size=4))
+def test_stream_draws_equal_the_oracles(seed, draws):
+    stream, pos = Stream(seed), 0
+    for kind, count in draws:
+        got = getattr(stream, kind)(count)
+        if kind == "uniforms":
+            want, pos = oracle_uniforms(seed, pos, count), pos + count
+        else:  # a full final pair is drawn
+            want, pos = oracle_gaussians(seed, pos, count), pos + (count + 1) // 2 * 2
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
