@@ -5,7 +5,8 @@ decay ``M_{L,T} = L! - A_{L,T}`` (an array over ``T = L, L+1, ...``, from
 the prefix curve ``A_{L,T}`` of :func:`permz.ordinal.visible_curve`),
 exact combinatorics of the noisy-periodic process family, growth-constant
 estimation, empirical forbidden-pattern detection for deterministic
-maps (a seen-mask over the ``L!`` codes).
+maps (a seen-mask over the ``L!`` position codes; only the missing codes
+are named as Lehmer codes and patterns).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .entropy import ComplexityClass, _check_alpha, _fit_points, _line_fit
 from .entropy import _is_near_shannon, _near_shannon
 from .errors import DataError, NumericalError, ValidationError, _instance, _reals
 from .ordinal import _MAX_FACTORIAL, OrdinalPattern, _check_order, stabilized_census
-from .ordinal import window_codes
+from .ordinal import _lehmer, _positions
+from .ordinal import window_codes  # noqa: F401 -- perfbench traces this binding
 from .processes import (
     ProcessSpec, _check_length, _check_period, _check_residues,
     generate, map_orbit, member_seed, realization_specs,
@@ -356,13 +358,11 @@ def forbidden_patterns_of_map(
     if orbit_len < L:
         raise ValidationError("orbit_len must be at least L")
     orbits = _orbit_batch(spec, n_orbits, orbit_len)
-    seen = np.zeros(math.factorial(L), dtype=bool)
+    seen = np.zeros(math.factorial(L), dtype=bool)  # by position code
     for row in orbits:
-        seen[window_codes(row, L)] = True
+        seen[_positions(row, L)] = True
         if seen.all():
             break
-    return {
-        OrdinalPattern.from_code(code, L)
-        for code in np.flatnonzero(~seen).tolist()
-    }
+    missing = _lehmer(np.flatnonzero(~seen), L)
+    return {OrdinalPattern.from_code(code, L) for code in missing.tolist()}
 

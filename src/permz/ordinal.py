@@ -12,9 +12,11 @@ and returns code and count arrays.  Windows are coded by position codes,
 the Lehmer code of the rank of each position, which follow order by order
 from running sums of comparisons over the lags (``_lag_sums``), built once
 per series up to its largest order: ``_position_codes`` serves every order
-of a series from one pass at one multiply-add per order.  ``_lehmer`` names
-the pattern of a position code; the censuses name only the codes they keep,
-and ``window_codes`` names every window's.
+of a series from one pass at one multiply-add per order.  Every count and
+scan works on position codes.  ``_lehmer`` names the pattern of a position
+code, and Lehmer codes are made only where a pattern is named: for the
+codes a census keeps, for the missing codes of a forbidden-pattern scan,
+and for every window in the public ``window_codes``.
 """
 
 from __future__ import annotations
@@ -125,10 +127,6 @@ class PatternDistribution:
         self.probabilities = counts[counts > 0] / self.total_windows
         self.probabilities.flags.writeable = False
         self.support_size = self.probabilities.size
-
-    def probability_of(self, pattern: OrdinalPattern | int) -> float:
-        code = pattern.code if isinstance(pattern, OrdinalPattern) else pattern
-        return self.counts.get(code, 0) / self.total_windows
 
 
 def _as_series(series) -> np.ndarray:
@@ -276,21 +274,6 @@ def _lehmer(pos: np.ndarray, L: int) -> np.ndarray:
     return codes
 
 
-def _codes_per_order(series, orders):
-    """Iterator over :func:`window_codes` of the series at each of
-    ``orders``, in the order given (repeats included): the position codes
-    of :func:`_position_codes`, named through a table of every code when
-    ``L!`` is at most the window count and window by window otherwise."""
-    orders = tuple(orders)
-    return map(_window_lehmer, _position_codes(series, orders), orders)
-
-
-def _window_lehmer(pos: np.ndarray, L: int) -> np.ndarray:
-    if factorial(L) > pos.size:
-        return _lehmer(pos, L)
-    return _lehmer(np.arange(factorial(L)), L)[pos]
-
-
 def window_codes(series, L: int) -> np.ndarray:
     """Lehmer codes of every stride-1 window of the series.
 
@@ -301,7 +284,10 @@ def window_codes(series, L: int) -> np.ndarray:
     window's position code (:func:`_position_codes`), built from running
     sums of shifted-slice comparisons over the lags ``1..L-1``: no sort.
     """
-    return next(_codes_per_order(series, (L,)))
+    pos = _positions(series, L)
+    if factorial(L) > pos.size:  # fewer windows than codes: no table
+        return _lehmer(pos, L)
+    return _lehmer(np.arange(factorial(L)), L)[pos]
 
 
 def _census(pos: np.ndarray, L: int, stabilized: bool = False) -> tuple:
@@ -375,8 +361,8 @@ def visible_curve(series, L: int) -> np.ndarray:
 
 
 def _prefix_curve(codes: np.ndarray, L: int) -> np.ndarray:
-    """:func:`visible_curve` of these codes, Lehmer or position codes
-    alike: each code is counted at its first occurrence."""
+    """:func:`visible_curve` of these position codes: each code is counted
+    at its first occurrence."""
     m, col = factorial(L), codes  # a column per code
     if m > codes.size:  # or, when L! > n windows, per distinct code
         uniq, col = np.unique(codes, return_inverse=True)

@@ -186,16 +186,6 @@ class ProcessSpec:
         """True for noise-free map orbits (the forbidden-pattern kinds)."""
         return self.kind in ("logistic", "piecewise-linear", "shift")
 
-    @property
-    def known_entropies(self) -> tuple[float, float] | None:
-        """(metric, topological) entropy of the generating map, when
-        known in closed form."""
-        if self.kind == "logistic" or self.kind == "shift":
-            return (math.log(2.0), math.log(2.0))
-        if self.kind == "piecewise-linear":
-            return (math.log(self.sigma), math.log(self.sigma))
-        return None
-
 
 _DEFAULTS = {f.name: f.default for f in fields(ProcessSpec)[3:]}  # hurst .. dither
 

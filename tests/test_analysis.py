@@ -24,7 +24,9 @@ from permz.experiments import missing_curves
 from permz.ordinal import (
     OrdinalPattern,
     PatternDistribution,
+    lehmer_encode,
     pattern_census,
+    rank_vector,
     visible_curve,
     window_codes,
 )
@@ -449,6 +451,23 @@ def test_forbidden_scan_equals_set_union_oracle(kind, L, n_orbits, orbit_len, se
     assert forbidden_patterns_of_map(spec, L, n_orbits, orbit_len) == (
         reference_forbidden_patterns(spec, L, n_orbits, orbit_len)
     )
+
+
+@pytest.mark.parametrize("kind", ["logistic", "piecewise-linear", "shift"])
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_forbidden_scan_equals_per_window_rank_vector_oracle(kind, L):
+    """The scan against windows ranked one by one (``rank_vector``, then
+    ``lehmer_encode``): an oracle with no lag sums, position codes or
+    ``_lehmer`` in it, over the same orbits."""
+    extra = {"sigma": 2.7} if kind == "piecewise-linear" else {}
+    spec = ProcessSpec(kind, length=1, seed=11 + L, **extra)
+    n_orbits, orbit_len = 3, 500
+    seen = {lehmer_encode(rank_vector(row[t : t + L]))
+            for row in _orbit_batch(spec, n_orbits, orbit_len)
+            for t in range(orbit_len - L + 1)}
+    want = {OrdinalPattern.from_code(code, L)
+            for code in range(math.factorial(L)) if code not in seen}
+    assert forbidden_patterns_of_map(spec, L, n_orbits, orbit_len) == want
 
 
 def test_forbidden_validation():

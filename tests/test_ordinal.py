@@ -15,7 +15,7 @@ from permz.ordinal import (
     PatternDistribution,
     _as_series,
     _check_order,
-    _codes_per_order,
+    _position_codes,
     lehmer_decode,
     lehmer_encode,
     pattern_census,
@@ -123,15 +123,14 @@ def test_census_monotone_series():
     dist = pattern_census((1, 2, 3, 4, 5), 3)
     assert dist.counts == {0: 3}
     assert dist.total_windows == 3
-    assert dist.probability_of(OrdinalPattern((0, 1, 2))) == 1.0
+    assert OrdinalPattern((0, 1, 2)).code == 0
 
 
 def test_census_hand_enumeration():
     # five L=2 windows of (1,2,1,2,1,2): 3 ascents, 2 descents
     dist = pattern_census((1, 2, 1, 2, 1, 2), 2)
     assert dist.total_windows == 5
-    assert dist.probability_of(0) == pytest.approx(3 / 5)
-    assert dist.probability_of(1) == pytest.approx(2 / 5)
+    assert dist.counts == {0: 3, 1: 2}
 
 
 def test_census_white_noise_uniformity():
@@ -139,7 +138,7 @@ def test_census_white_noise_uniformity():
     dist = pattern_census(x, 3)
     assert dist.support_size == 6
     for code in range(6):
-        assert abs(dist.probability_of(code) - 1 / 6) < 0.01
+        assert abs(dist.counts[code] / dist.total_windows - 1 / 6) < 0.01
 
 
 def test_census_probabilities_sum_to_one():
@@ -325,6 +324,13 @@ def pairwise_window_codes(series, L: int) -> np.ndarray:
     return codes
 
 
+def lehmer_per_order(series, orders):
+    """The position codes of :func:`_position_codes` at each of ``orders``,
+    each order named as Lehmer codes by ``ordinal._lehmer``."""
+    orders = tuple(orders)
+    return map(ordinal._lehmer, _position_codes(series, orders), orders)
+
+
 _KIND_PARAMETERS = {"fgn": {"hurst": 0.3}, "fbm": {"hurst": 0.7},
                     "xp": {"period": 3}, "piecewise-linear": {"sigma": 2.5}}
 
@@ -342,10 +348,10 @@ def test_window_codes_equal_reference_at_workload_length(kind):
     ProcessSpec("xp", length=50_000, seed=4, period=2),
     ProcessSpec("xp", length=50_000, seed=5, period=3),
 ])
-def test_codes_per_order_equal_pairwise_oracle_at_workload_length(spec):
+def test_position_codes_equal_pairwise_oracle_at_workload_length(spec):
     x = generate(spec)
     orders = (14, 2, 9, 20, 3, 9)
-    for L, codes in zip(orders, _codes_per_order(x, orders)):
+    for L, codes in zip(orders, lehmer_per_order(x, orders)):
         assert np.array_equal(codes, pairwise_window_codes(x, L))
 
 
@@ -367,31 +373,31 @@ def coder_series(draw):
 @settings(max_examples=80, deadline=None)
 @given(x=coder_series(), orders=st.lists(st.integers(2, 20), min_size=1, max_size=8))
 @example(x=np.array([0.0, -0.0] * 12), orders=[4, 3, 4, 20, 2, 20])
-def test_codes_per_order_equal_pairwise_oracle_order_by_order(x, orders):
-    got = list(_codes_per_order(x, orders))
+def test_position_codes_equal_pairwise_oracle_order_by_order(x, orders):
+    got = list(lehmer_per_order(x, orders))
     assert len(got) == len(orders)
     for L, codes in zip(orders, got):
         assert codes.dtype == np.int64
         assert np.array_equal(codes, pairwise_window_codes(x, L))
 
 
-def test_codes_per_order_checks_everything_before_any_work():
+def test_position_codes_checks_everything_before_any_work():
     x = np.arange(5.0)
     # raised by the call itself, naming the first order the series is too short for
     with pytest.raises(DataError, match=r"^series of length 5 is shorter than L=9$"):
-        _codes_per_order(x, (3, 9, 7))
+        lehmer_per_order(x, (3, 9, 7))
     with pytest.raises(DataError, match=r"^series of length 5 is shorter than L=7$"):
         window_codes(x, 7)
     for bad in (1, 21, 3.0, "3"):
         with pytest.raises(ValidationError,
                            match=r"^order L must be an integer at least 2, at most 20$"):
-            _codes_per_order(x, (3, bad))
+            lehmer_per_order(x, (3, bad))
     with pytest.raises(DataError, match="non-finite"):
-        _codes_per_order(np.array([1.0, np.nan, 2.0]), (2,))
-    assert list(_codes_per_order(x, ())) == []
+        lehmer_per_order(np.array([1.0, np.nan, 2.0]), (2,))
+    assert list(lehmer_per_order(x, ())) == []
 
 
-def test_codes_per_order_releases_the_lag_sums_with_the_last_order(monkeypatch):
+def test_position_codes_releases_the_lag_sums_with_the_last_order(monkeypatch):
     sums = []
 
     def kept(x, top):
@@ -401,7 +407,7 @@ def test_codes_per_order_releases_the_lag_sums_with_the_last_order(monkeypatch):
 
     lag_sums = ordinal._lag_sums
     monkeypatch.setattr(ordinal, "_lag_sums", kept)
-    coded = _codes_per_order(np.random.default_rng(1).normal(size=100), (5, 3))
+    coded = lehmer_per_order(np.random.default_rng(1).normal(size=100), (5, 3))
     next(coded)
     assert len(sums) == 1
     next(coded)  # the last order: the sums are gone before it is used

@@ -209,17 +209,6 @@ def test_seeds_of_either_sign_are_taken_modulo_2_64():
     assert np.array_equal(series(-1), series(2**64 - 1))
 
 
-def test_known_entropies():
-    assert ProcessSpec("logistic", length=5).known_entropies == (
-        math.log(2), math.log(2)
-    )
-    sigma = 3.7
-    assert ProcessSpec("piecewise-linear", length=5, sigma=sigma).known_entropies == (
-        math.log(sigma), math.log(sigma)
-    )
-    assert ProcessSpec("white-noise", length=5).known_entropies is None
-
-
 # -- determinism -------------------------------------------------------------
 
 @pytest.mark.parametrize(
