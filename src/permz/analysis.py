@@ -23,7 +23,7 @@ from .entropy import ComplexityClass, _check_alpha, _fit_points, _line_fit
 from .entropy import _is_near_shannon, _near_shannon
 from .errors import DataError, NumericalError, ValidationError, _instance, _reals
 from .ordinal import _MAX_FACTORIAL, OrdinalPattern, _check_order, stabilized_census
-from .ordinal import _lehmer, _positions
+from .ordinal import _names, _positions
 from .ordinal import window_codes  # noqa: F401 -- perfbench traces this binding
 from .processes import (
     ProcessSpec, _check_length, _check_period, _check_residues,
@@ -363,6 +363,6 @@ def forbidden_patterns_of_map(
         seen[_positions(row, L)] = True
         if seen.all():
             break
-    missing = _lehmer(np.flatnonzero(~seen), L)
+    missing = _names(L)[0][np.flatnonzero(~seen)]
     return {OrdinalPattern.from_code(code, L) for code in missing.tolist()}
 

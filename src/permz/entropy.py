@@ -377,7 +377,12 @@ def renyi_entropy(dist, alpha: float) -> float:
     """
     alpha = _check_alpha(alpha)
     p = _as_probabilities(dist)
-    support = p[p > 0.0]
+    return _renyi(p[p > 0.0], alpha)
+
+
+def _renyi(support: np.ndarray, alpha: float) -> float:
+    """:func:`renyi_entropy` of a checked alpha over positive probabilities
+    that sum to 1."""
     if alpha == 0.0:
         return float(np.log(support.size))
     if _is_near_shannon(alpha):

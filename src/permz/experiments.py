@@ -49,12 +49,12 @@ from pathlib import Path
 
 import numpy as np
 
-# ordinal's functions and renyi_entropy are looked up through their module at
-# call time, so a wrapper installed there (as tracing does) sees these calls
+# ordinal's functions and entropy._renyi are looked up through their module
+# at call time, so a wrapper installed there (as tracing does) sees these calls
 from . import __version__, entropy, ordinal
 from .analysis import fit_decay, xp_allowed_count, xp_class_constant
 from .entropy import (
-    ComplexityClass, _check_alpha_labels, z_topological,
+    ComplexityClass, _check_alpha, _check_alpha_labels, z_topological,
 )
 from .entropy import z_entropy  # noqa: F401 -- perfbench traces this binding
 from .errors import DataError, PermzError, ValidationError, _instance
@@ -238,14 +238,15 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
     alpha 0 gives the topological Z-entropy of the support (its
     ``math.log``, which can differ from R_0's ``np.log`` in the last bit)."""
     count = partial(ordinal._census, stabilized=stabilized)
-    coded = ordinal._position_codes(series, orders)
+    coded = ordinal._position_codes(series, orders)  # checks, codes nothing yet
+    checked = [(alpha, _check_alpha(alpha)) for alpha in alphas]
     out = {}
     # map holds no code array once it is counted
     for L, (_, counts) in zip(orders, map(count, coded, orders)):
-        p = counts / counts.sum()
-        for alpha in alphas:
-            r = entropy.renyi_entropy(p, alpha)
-            z = cls.z(r) if alpha > 0 else z_topological(counts.size, cls)
+        p = counts / counts.sum()  # positive counts: p is its own support
+        for alpha, a in checked:
+            r = entropy._renyi(p, a)
+            z = cls.z(r) if a > 0 else z_topological(counts.size, cls)
             out[(L, alpha)] = (r, z, z / L)
     return out
 

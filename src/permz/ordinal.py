@@ -13,16 +13,17 @@ the Lehmer code of the rank of each position, which follow order by order
 from running sums of comparisons over the lags (``_lag_sums``), built once
 per series up to its largest order: ``_position_codes`` serves every order
 of a series from one pass at one multiply-add per order.  Every count and
-scan works on position codes.  ``_lehmer`` names the pattern of a position
-code, and Lehmer codes are made only where a pattern is named: for the
-codes a census keeps, for the missing codes of a forbidden-pattern scan,
-and for every window in the public ``window_codes``.
+scan works on position codes.  Lehmer codes are made only where a pattern
+is named (the codes a census keeps, the missing codes of a map scan, every
+window in ``window_codes``): from per-process tables (``_names``) up to
+order ``_TABLE_ORDER`` = 7, else by ``_lehmer``, which builds the tables.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from math import factorial
 from numbers import Integral
 from operator import index
@@ -44,6 +45,7 @@ __all__ = [
 
 _MAX_ORDER = 20  # 21! - 1 overflows the int64 codes
 _MAX_FACTORIAL = sys.maxsize  # the largest n math.factorial takes
+_TABLE_ORDER = 7  # the largest order named from tables: 8 would add 1.6 MB of RSS
 
 
 def _check_order(L, hi=_MAX_ORDER) -> int:
@@ -274,6 +276,17 @@ def _lehmer(pos: np.ndarray, L: int) -> np.ndarray:
     return codes
 
 
+@cache
+def _names(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only name tables of order ``L <= _TABLE_ORDER``: ``names``, the Lehmer
+    code of each position code, and its inverse ``by_name``, built on first use."""
+    names = _lehmer(np.arange(factorial(L)), L)
+    by_name = np.empty_like(names)
+    by_name[names] = np.arange(names.size)
+    names.flags.writeable = by_name.flags.writeable = False
+    return names, by_name
+
+
 def window_codes(series, L: int) -> np.ndarray:
     """Lehmer codes of every stride-1 window of the series.
 
@@ -285,6 +298,8 @@ def window_codes(series, L: int) -> np.ndarray:
     sums of shifted-slice comparisons over the lags ``1..L-1``: no sort.
     """
     pos = _positions(series, L)
+    if L <= _TABLE_ORDER:
+        return _names(L)[0][pos]
     if factorial(L) > pos.size:  # fewer windows than codes: no table
         return _lehmer(pos, L)
     return _lehmer(np.arange(factorial(L)), L)[pos]
@@ -297,7 +312,7 @@ def _census(pos: np.ndarray, L: int, stabilized: bool = False) -> tuple:
     n, m = pos.size, factorial(L)
     if m > n:  # every block rule gives one block
         seen, counts = np.unique(pos, return_counts=True)
-        codes = _lehmer(seen, L)
+        codes = _names(L)[0][seen] if L <= _TABLE_ORDER else _lehmer(seen, L)
         order = np.argsort(codes)
         return codes[order], counts[order]
     block = 5 * m if stabilized else n
@@ -315,10 +330,16 @@ def _census(pos: np.ndarray, L: int, stabilized: bool = False) -> tuple:
     drift = np.abs(np.diff(cum / used, axis=1)).max(axis=0)
     settled = np.flatnonzero(drift <= 1e-4)
     stop = settled[0] + 1 if settled.size else n_blocks - 1
-    seen = np.flatnonzero(cum[:, stop])
-    codes = _lehmer(seen, L)
-    order = np.lexsort((codes, (cum[seen] > 0).argmax(axis=1)))
-    return codes[order], cum[seen[order], stop]
+    if L > _TABLE_ORDER:
+        seen = np.flatnonzero(cum[:, stop])
+        codes = _lehmer(seen, L)
+        order = np.lexsort((codes, (cum[seen] > 0).argmax(axis=1)))
+        return codes[order], cum[seen[order], stop]
+    names, by_name = _names(L)
+    kept = by_name[cum[by_name, stop] > 0]  # the position codes kept, in code order
+    if n_blocks > 1:  # by first block, stably
+        kept = kept[np.argsort((cum[kept] > 0).argmax(axis=1), kind="stable")]
+    return names[kept], cum[kept, stop]
 
 
 def _distribution(series, L: int, stabilized: bool) -> PatternDistribution:

@@ -255,7 +255,7 @@ def _fgn(n: int, hurst: float, stream: Stream) -> np.ndarray:
     w[n] = last * a[n]
     w[1:n] = inner * (a[1:n] + 1j * b)
     w[n + 1 :] = np.conj(w[1:n][::-1])
-    return np.fft.fft(w)[:n].real
+    return np.fft.fft(w)[:n].real.copy()  # not a view holding the 2n buffer
 
 
 def _logistic(v):
@@ -350,9 +350,10 @@ def _xp_series(spec: ProcessSpec, stream: Stream) -> np.ndarray:
     residues = _check_residues(spec.noiseless_residues, p)
     amplitude = delta / 2.0 - _XP_AMPLITUDE_MARGIN * delta
     levels = min(p, spec.length)  # the phases the series reaches
-    phase = np.arange(spec.length) % levels
+    cycles = -(-spec.length // levels)  # one period tiled: no modulo per sample
+    phase = np.tile(np.arange(levels), cycles)[: spec.length]
     zeta = amplitude * (2.0 * stream.uniforms(spec.length) - 1.0)
-    zeta[np.isin(np.arange(levels), residues)[phase]] = 0.0
+    zeta[np.tile(np.isin(np.arange(levels), residues), cycles)[: spec.length]] = 0.0
     return delta * phase + zeta
 
 

@@ -486,6 +486,21 @@ def test_table2_mismatch_exits_3_after_its_summary(monkeypatch, tmp_path, capsys
             in capsys.readouterr().err)
 
 
+def test_experiment_expands_summary_dicts_of_at_most_12_entries(monkeypatch, tmp_path):
+    summary = {"a_twelve": {f"k{i}": i for i in range(12)},
+               "b_thirteen": {f"k{i}": i for i in range(13)}, "c_value": 7}
+
+    def fake(name, config, outdir):
+        return permz.experiments.ExperimentResult(name, {}, summary, {}, ["f.csv"])
+
+    monkeypatch.setattr("permz.cli.run_experiment", fake)
+    code, out = run_cli("experiment", "fig1", "--output-dir", str(tmp_path))
+    assert code == 0
+    assert out.splitlines() == [f"experiment fig1: wrote 1 files to {tmp_path}",
+                                "  a_twelve:", *(f"    k{i}: {i}" for i in range(12)),
+                                "  c_value: 7"]
+
+
 def test_experiment_unknown_name_exits_2():
     code, _ = run_cli("experiment", "fig9")  # argparse rejects the choice
     assert code == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from permz import ordinal, processes
+from permz import entropy, ordinal, processes
 from permz.analysis import stabilized_census
 from permz.entropy import ComplexityClass, renyi_entropy, z_topological
 from permz.errors import DataError, NumericalError, ValidationError
@@ -218,15 +218,15 @@ def test_fractional_jobs_raise_validation_error_before_any_member():
 
 
 def test_entropy_cells_compute_each_renyi_entropy_once(monkeypatch):
-    calls = []
+    calls, evaluate = [], entropy._renyi
 
-    def counted(dist, alpha):
+    def counted(support, alpha):
         calls.append(alpha)
-        return renyi_entropy(dist, alpha)
+        return evaluate(support, alpha)
 
     # every binding: the module's, and one the cell may hold of its own
-    monkeypatch.setattr("permz.entropy.renyi_entropy", counted)
-    monkeypatch.setattr("permz.experiments.renyi_entropy", counted, raising=False)
+    monkeypatch.setattr("permz.entropy._renyi", counted)
+    monkeypatch.setattr("permz.experiments._renyi", counted, raising=False)
     series = generate(ProcessSpec("white-noise", length=2000, seed=1))
     cells = entropy_cells(series, orders=(3, 4, 5), alphas=(0.0, 0.5, 1.0, 1.5),
                           cls=ComplexityClass.factorial())

@@ -8,8 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from permz import ordinal
-from permz.analysis import stabilized_census
+from permz.analysis import forbidden_patterns_of_map, stabilized_census
+from permz.entropy import ComplexityClass
 from permz.errors import DataError, ValidationError
+from permz.experiments import entropy_cells
 from permz.ordinal import (
     OrdinalPattern,
     PatternDistribution,
@@ -626,3 +628,66 @@ def test_lehmer_names_the_inverse_of_random_permutations(perms):
     pos = np.array([lehmer_encode(p) for p in perms], dtype=np.int64)
     want = [lehmer_encode(_inverse(p)) for p in perms]
     assert ordinal._lehmer(pos, L).tolist() == want
+
+
+# -- the name tables of orders 2.._TABLE_ORDER --------------------------------
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_name_tables_are_lehmer_names_and_their_inverse(L):
+    names, by_name = ordinal._names(L)
+    every = np.arange(math.factorial(L))
+    assert names.dtype == by_name.dtype == np.int64
+    assert np.array_equal(names, ordinal._lehmer(every, L))
+    assert np.array_equal(names[by_name], every)
+    for table in (names, by_name):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
+def test_orders_up_to_the_cap_are_named_without_lehmer(monkeypatch):
+    # tables built, every naming site of orders 2..7 reads them; one site
+    # naming through _lehmer at an order up to the cap fails here
+    for L in range(2, ordinal._TABLE_ORDER + 1):
+        ordinal._names(L)
+
+    def refused(pos, L):
+        raise AssertionError(f"_lehmer called at L={L}")
+
+    monkeypatch.setattr(ordinal, "_lehmer", refused)
+    x = generate(ProcessSpec("white-noise", length=12_000, seed=5))
+    for L in range(2, ordinal._TABLE_ORDER + 1):
+        for series in (x, x[: L + 3]):  # L! <= windows; L! > 4 windows from L = 3
+            window_codes(series, L)
+            pattern_census(series, L)
+            stabilized_census(series, L)
+    assert forbidden_patterns_of_map(ProcessSpec("logistic", 1), 7, 2, 100)
+
+
+def test_a_fig4_sized_run_tables_no_order_above_the_cap():
+    ordinal._names.cache_clear()
+    x = generate(ProcessSpec("xp", length=50_000, seed=3, period=2))
+    entropy_cells(x, range(2, 15), (0.5, 1.0), ComplexityClass.sub_factorial(0.5))
+    assert ordinal._names.cache_info().currsize == 6
+    misses = ordinal._names.cache_info().misses
+    for L in range(2, 8):  # all six are orders 2..7
+        ordinal._names(L)
+    assert ordinal._names.cache_info().misses == misses
+
+
+def test_stabilized_census_lists_later_blocks_by_first_block_then_code():
+    # a falling ramp fills the first block of 5 * 5! windows with the last
+    # code (and the few windows that reach into the noise); noise then
+    # brings the other codes, block after block
+    L, block = 5, 5 * math.factorial(5)
+    rng = np.random.default_rng(11)
+    x = np.concatenate([np.linspace(10.0, 9.0, block), rng.random(6 * block)])
+    dist = stabilized_census(x, L)
+    codes = window_codes(x, L)[: dist.total_windows]
+    first = {}
+    for t, code in enumerate(codes.tolist()):
+        first.setdefault(code, t // block)
+    want = sorted(first, key=lambda code: (first[code], code))
+    assert first[math.factorial(L) - 1] == 0 and want != sorted(want)
+    assert len({first[c] for c in want}) > 2  # codes first seen in later blocks
+    assert list(dist.counts) == want
+    assert list(dist.counts.values()) == np.bincount(codes)[want].tolist()

@@ -314,6 +314,12 @@ def test_fgn_sample_autocovariance(hurst):
         assert abs(emp - fgn_autocovariance(hurst, k)) < 5.0 * se
 
 
+def test_fgn_series_owns_its_data():
+    # not a strided view of the 2T complex FFT buffer, which it would keep alive
+    x = generate(ProcessSpec("fgn", length=1000, seed=1, hurst=0.3))
+    assert x.flags.c_contiguous and x.flags.owndata
+
+
 def test_fgn_h_half_is_white_gaussian():
     n = 2**15
     x = generate(ProcessSpec("fgn", length=n, seed=17, hurst=0.5))
@@ -362,6 +368,27 @@ def test_xp_period_beyond_the_series_takes_no_period_sized_table():
     far = generate(ProcessSpec("xp", length=50, seed=3, period=10**21))
     near = generate(ProcessSpec("xp", length=50, seed=3, period=51))
     assert far.tobytes() == near.tobytes()
+
+
+def modulo_xp_series(spec: ProcessSpec) -> np.ndarray:
+    """The xp series with its phase taken modulo the period at every sample."""
+    p, delta = spec.period, 1.0 if spec.delta is None else spec.delta
+    residues = processes._check_residues(spec.noiseless_residues, p)
+    amplitude = delta / 2.0 - processes._XP_AMPLITUDE_MARGIN * delta
+    levels = min(p, spec.length)
+    phase = np.arange(spec.length) % levels
+    zeta = amplitude * (2.0 * Stream(spec.seed).uniforms(spec.length) - 1.0)
+    zeta[np.isin(np.arange(levels), residues)[phase]] = 0.0
+    return delta * phase + zeta
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_xp_tiled_phase_equals_the_modulo_phase(p):
+    for residues in (None, (0,), tuple(range(p))):
+        for length in (1, p - 1, p, p + 1, 50_001):
+            spec = ProcessSpec("xp", length=length, seed=length, period=p,
+                               noiseless_residues=residues)
+            assert generate(spec).tobytes() == modulo_xp_series(spec).tobytes()
 
 
 def test_xp_alternating_has_both_two_patterns():
