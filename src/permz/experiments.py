@@ -265,24 +265,30 @@ def missing_curves(series, orders) -> dict[int, np.ndarray]:
 
 # -- fig1 / fig4 (Z-entropy rates) ------------------------------------------
 
-def _z_tables(stem: str, columns, orders, config: ExperimentConfig, length: int):
-    """Ensemble mean and spread of ``Z_alpha / L``, one table per alpha.
-
-    ``columns`` holds ``(label, spec, class, orders)`` per process; table
-    rows follow ``orders``, leaving a column empty at the orders it does
-    not measure.
-    """
+def _z_curves(columns, config: ExperimentConfig, length: int) -> dict:
+    """Ensemble ``(mean, sd)`` of ``Z_alpha / L`` per ``(label, L, alpha)``;
+    ``columns`` holds ``(label, spec, class, orders)`` per process."""
     curves: dict[tuple[str, int, float], tuple[float, float]] = {}
     for j, (label, spec, cls, col_orders) in enumerate(columns):
         measure = partial(entropy_cells, orders=col_orders, alphas=config.alphas,
                           cls=cls)
         members = _ensemble(config, j, label, spec, length, measure)
-        for L in col_orders:
-            for alpha in config.alphas:
-                # 1-d, not `permz entropy`'s axis-0 form: they differ in the last bits
-                vals = np.array([m[(L, alpha)][2] for m in members])
-                curves[(label, L, alpha)] = (float(vals.mean()), float(vals.std()))
+        cells = [(L, alpha) for L in col_orders for alpha in config.alphas]
+        # a contiguous row per cell meets the kernel of a 1-d mean and std; axis 0
+        # of (members x cells), `permz entropy`'s form, differs in the last bits
+        vals = np.array([[m[cell][2] for m in members] for cell in cells])
+        stats = zip(vals.mean(axis=1).tolist(), vals.std(axis=1).tolist())
+        curves.update(((label, *cell), pair) for cell, pair in zip(cells, stats))
+    return curves
 
+
+def _z_tables(stem: str, columns, orders, config: ExperimentConfig, length: int):
+    """Ensemble mean and spread of ``Z_alpha / L``, one table per alpha.
+
+    Table rows follow ``orders``, leaving a column of ``columns`` (as
+    :func:`_z_curves` takes them) empty at the orders it does not measure.
+    """
+    curves = _z_curves(columns, config, length)
     tables = {}
     for alpha in config.alphas:
         header = ["L"]

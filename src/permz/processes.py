@@ -8,8 +8,9 @@ documented draw order per kind:
 * ``white-noise``       -- T uniforms on [0, 1).
 * ``fgn`` / ``fbm``     -- 2T gaussians feeding a circulant-embedding
   synthesis (draws 0..T are the cosine coefficients for frequencies
-  0..T, draws T+1..2T-1 the sine coefficients for frequencies 1..T-1);
-  ``fbm`` is the running sum of the same fGn stream.
+  0..T, draws T+1..2T-1 the sine coefficients for frequencies 1..T-1),
+  whose spectrum is built and transformed in place in one 2T complex
+  buffer; ``fbm`` is the running sum of the same fGn stream.
 * ``noisy-logistic`` / ``noisy-schuster`` -- the noise-free orbit is
   iterated first, then T uniforms are mapped to observational noise
   uniform on [-amplitude, amplitude].
@@ -83,7 +84,7 @@ _NOISE_AMPLITUDE = {"noisy-logistic": 0.30, "noisy-schuster": 0.25}
 _XP_AMPLITUDE_MARGIN = 1e-9  # keeps noise strictly below delta/2
 _PROC_SEED_STRIDE = 1_000_003
 _MEMO_KEYS = 8
-# the largest size that becomes an array length: fGn's 2T complex embedding,
+# the largest size that becomes an array length: fGn's one 2T complex buffer,
 # 32 bytes a sample, is the largest array and stays within numpy's size limit
 _MAX_LENGTH = sys.maxsize // 32
 
@@ -245,17 +246,20 @@ def _fgn_amplitudes(n: int, hurst: float) -> tuple[float, float, np.ndarray]:
 def _fgn(n: int, hurst: float, stream: Stream) -> np.ndarray:
     """Exact-covariance fGn via circulant embedding, O(n log n)."""
     if n == 1:
-        return stream.gaussians(1)
+        return stream.gaussians(1).copy()  # not a view of the drawn pair
     first, last, inner = _fgn_amplitudes(n, hurst)
-    m = 2 * n
-    g = stream.gaussians(m)
+    g = stream.gaussians(2 * n)
     a, b = g[: n + 1], g[n + 1 :]
-    w = np.zeros(m, dtype=np.complex128)
+    w = np.empty(2 * n, dtype=np.complex128)  # the spectrum, then its transform
     w[0] = first * a[0]
     w[n] = last * a[n]
-    w[1:n] = inner * (a[1:n] + 1j * b)
-    w[n + 1 :] = np.conj(w[1:n][::-1])
-    return np.fft.fft(w)[:n].real.copy()  # not a view holding the 2n buffer
+    # inner is real: each part is that part of inner * (a + 1j b), bit for bit
+    np.multiply(inner, a[1:n], out=w.real[1:n])
+    np.multiply(inner, b, out=w.imag[1:n])
+    w.real[n + 1 :] = w.real[n - 1 : 0 : -1]  # the conjugate mirror
+    np.negative(w.imag[n - 1 : 0 : -1], out=w.imag[n + 1 :])
+    np.fft.fft(w, out=w)
+    return w.real[:n].copy()  # not a view holding the 2n buffer
 
 
 def _logistic(v):

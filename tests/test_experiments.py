@@ -3,12 +3,13 @@ import math
 import os
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from permz import entropy, ordinal, processes
+from permz import entropy, experiments, ordinal, processes
 from permz.analysis import stabilized_census
 from permz.entropy import ComplexityClass, renyi_entropy, z_topological
 from permz.errors import DataError, NumericalError, ValidationError
@@ -126,6 +127,30 @@ def test_fig1_runs_at_a_t_max_equal_to_the_largest_order():
     cells = result.summary["curves"]
     assert len(cells) == 7 * 5 * 3 and all(math.isfinite(v) for v in cells.values())
     assert all(v == 0.0 for key, v in cells.items() if "|L7|" in key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.sampled_from([1, 2, 7, 8, 9, 35, 129]), data=st.data())
+def test_z_curves_reduce_each_cell_as_a_1d_array(size, data):
+    # each cell's (mean, sd) is bit-equal to that of its members as a 1-d
+    # array; an axis-0 reduction of (members x cells) differs in the last bits
+    config = ExperimentConfig(realizations=size, alphas=(0.5, 1.0, 1.5))
+    columns = [("a", None, None, (3, 4, 5)), ("b", None, None, (4,))]
+    values = {(label, L, alpha): data.draw(st.lists(
+                  st.floats(-4.0, 4.0), min_size=size, max_size=size))
+              for label, *_, orders in columns for L in orders for alpha in config.alphas}
+
+    def ensemble(config, j, label, spec, length, measure):
+        return [{(L, alpha): (None, None, vals[i])
+                 for (name, L, alpha), vals in values.items() if name == label}
+                for i in range(size)]
+
+    with mock.patch.object(experiments, "_ensemble", ensemble):
+        curves = experiments._z_curves(columns, config, 100)
+    assert list(curves) == list(values)
+    for key, vals in values.items():
+        x = np.array(vals)
+        assert repr(curves[key]) == repr((float(x.mean()), float(x.std()))), key
 
 
 def test_alphas_sharing_a_label_are_rejected_before_any_series(monkeypatch):

@@ -314,9 +314,12 @@ def test_fgn_sample_autocovariance(hurst):
         assert abs(emp - fgn_autocovariance(hurst, k)) < 5.0 * se
 
 
-def test_fgn_series_owns_its_data():
-    # not a strided view of the 2T complex FFT buffer, which it would keep alive
-    x = generate(ProcessSpec("fgn", length=1000, seed=1, hurst=0.3))
+@pytest.mark.parametrize("length", [1, 2, 1000])
+@pytest.mark.parametrize("kind", ["fgn", "fbm"])
+def test_fgn_series_owns_its_data(kind, length):
+    # not a strided view of the 2T complex FFT buffer (nor, at T = 1, of the
+    # drawn Box-Muller pair), which it would keep alive
+    x = generate(ProcessSpec(kind, length=length, seed=1, hurst=0.3))
     assert x.flags.c_contiguous and x.flags.owndata
 
 
@@ -640,6 +643,43 @@ def _reference_fgn(n, hurst, stream):
     w[1:n] = np.sqrt(lam[1:n] / (2.0 * m)) * (a[1:n] + 1j * b)
     w[n + 1 :] = np.conj(w[1:n][::-1])
     return np.fft.fft(w)[:n].real
+
+
+ORACLE_LENGTHS = [*range(1, 120), 1000, 4095, 4096, 4097, 7000, 49_999, 50_000, 50_001]
+
+
+@pytest.mark.parametrize("hurst", [0.2, 0.4, 0.5, 0.6, 0.9])
+def test_fgn_and_fbm_bytes_equal_the_reference_synthesis(hurst):
+    for n in ORACLE_LENGTHS:
+        for seed in (5, -(2**40 + 3)):
+            expected = _reference_fgn(n, hurst, Stream(seed))
+            fgn = generate(ProcessSpec("fgn", length=n, seed=seed, hurst=hurst))
+            fbm = generate(ProcessSpec("fbm", length=n, seed=seed, hurst=hurst))
+            assert fgn.tobytes() == expected.tobytes(), (n, seed)
+            assert fbm.tobytes() == np.cumsum(expected).tobytes(), (n, seed)
+
+
+@pytest.mark.parametrize("n, hurst", [(9, 0.999999999999999), (1000, 1 - 1e-13)])
+def test_fgn_bytes_equal_the_reference_where_an_amplitude_is_zero(n, hurst):
+    # a clipped spectrum leaves exact zeros in the memoized amplitudes, whose
+    # products with a gaussian are zeros of either sign
+    inner = processes._fgn_amplitudes(n, hurst)[2]
+    assert np.any(inner == 0.0)
+    for seed in range(-20, 20):
+        expected = _reference_fgn(n, hurst, Stream(seed))
+        fgn = generate(ProcessSpec("fgn", length=n, seed=seed, hurst=hurst))
+        assert fgn.tobytes() == expected.tobytes(), seed
+
+
+def test_fgn_leaves_the_memoized_amplitudes_unchanged():
+    _clear_memos()
+    first, last, inner = processes._fgn_amplitudes(1000, 0.3)
+    before = inner.tobytes()
+    generate(ProcessSpec("fgn", length=1000, seed=4, hurst=0.3))
+    generate(ProcessSpec("fbm", length=1000, seed=5, hurst=0.3))
+    assert processes._fgn_amplitudes(1000, 0.3) == (first, last, inner)
+    assert processes._fgn_amplitudes(1000, 0.3)[2] is inner
+    assert inner.tobytes() == before and not inner.flags.writeable
 
 
 def _reference_generate(spec):
