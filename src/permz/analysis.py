@@ -341,10 +341,13 @@ def forbidden_patterns_of_map(
     The result is the complement of the union of visible patterns over
     ``n_orbits`` random initial conditions iterated ``orbit_len`` steps
     each -- an empirical "missing at this sampling effort" set, not a
-    proof of true forbiddenness.  The scan stops as soon as every pattern
-    has been seen.  Shift orbits are generated and scanned one at a time
-    (none past that stop); a map scan holds its orbits as one
-    ``n_orbits x orbit_len`` float64 batch.
+    proof of true forbiddenness.  Each orbit's windows are counted by
+    position code with one ``np.bincount`` of ``L!`` bins; the scan stops
+    as soon as every code has been seen, and only the codes never seen are
+    named as patterns.  Shift orbits are generated and scanned one at a
+    time (none past that stop); a map scan holds its orbits as one
+    ``n_orbits x orbit_len`` float64 batch, stepped through a small
+    time-major block (see :func:`~permz.processes.map_orbit`).
     """
     if not _instance(spec, ProcessSpec, "spec").is_deterministic:
         raise ValidationError(
@@ -358,11 +361,11 @@ def forbidden_patterns_of_map(
     if orbit_len < L:
         raise ValidationError("orbit_len must be at least L")
     orbits = _orbit_batch(spec, n_orbits, orbit_len)
-    seen = np.zeros(math.factorial(L), dtype=bool)  # by position code
+    seen = np.zeros(math.factorial(L), dtype=np.intp)  # windows, by position code
     for row in orbits:
-        seen[_positions(row, L)] = True
+        seen += np.bincount(_positions(row, L), minlength=seen.size)
         if seen.all():
             break
-    missing = _names(L)[0][np.flatnonzero(~seen)]
+    missing = _names(L)[0][np.flatnonzero(seen == 0)]
     return {OrdinalPattern.from_code(code, L) for code in missing.tolist()}
 

@@ -1,4 +1,5 @@
 import math
+import signal
 from dataclasses import replace
 from unittest import mock
 
@@ -538,6 +539,48 @@ def test_batch_orbit_of_a_2d_x0_numbers_its_orbits_in_row_major_order():
         for i, (row, v) in enumerate(zip(batch.reshape(-1, 12_000), x0.ravel())):
             member = replace(spec, seed=member_seed(4, 0, i))
             assert row.tobytes() == map_orbit(member, v, 12_000).tobytes()
+
+
+@pytest.mark.parametrize("period", [64, 100, processes._BLOCK, 300],
+                         ids=["divides-block", "below-block", "block", "above-block"])
+@pytest.mark.parametrize("spec", MAPS, ids=lambda spec: spec.kind)
+def test_batch_rows_equal_the_oracle_across_block_ends(spec, period):
+    # a batch is stepped through a time-major block of _BLOCK iterates, which
+    # also ends at each kick; every row crosses block ends and kicks here
+    block = processes._BLOCK
+    spec = replace(spec, seed=11)
+    with mock.patch.object(processes, "_DITHER_PERIOD", period):
+        for n in (block - 1, block, block + 1, 3 * block + 5):
+            for shape in ((5,), (2, 3)):
+                x0 = np.linspace(0.05, 0.95, math.prod(shape)).reshape(shape)
+                batch = map_orbit(spec, x0, n).reshape(-1, n)
+                for i, v in enumerate(x0.ravel()):
+                    member = replace(spec, seed=member_seed(11, 0, i))
+                    kicks = _reference_kicks(member, n, period)
+                    reference = _reference_orbit(member, v, n, kicks, period)
+                    assert batch[i].tobytes() == reference.tobytes(), (n, shape, i)
+
+
+def test_an_empty_batch_returns_at_once_and_draws_no_kick():
+    # an empty x0 passed every guard and then stepped all n iterates of
+    # nothing, 2.2 s per 10^6 steps: n = _MAX_LENGTH never returned
+    def overdue(signum, frame):
+        raise TimeoutError("an empty batch took more than a second")
+
+    n = processes._MAX_LENGTH
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        for spec in MAPS + (replace(MAPS[2], dither=False),):
+            for x0 in (np.array([]), np.empty((0, 3)), np.empty((3, 0))):
+                with mock.patch.object(processes, "Stream",
+                                       side_effect=AssertionError("a kick was drawn")):
+                    batch = map_orbit(spec, x0, n)
+                assert batch.shape == x0.shape + (n,)
+                assert batch.dtype == np.float64
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 INVARIANT_SPECS = (
