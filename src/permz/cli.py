@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, ordinal
 from .analysis import fit_decay, xp_distribution
 from .entropy import ComplexityClass, _check_alpha_labels
-from .errors import DataError, PermzError, ValidationError
+from .errors import DataError, NumericalError, PermzError, ValidationError
 from .experiments import (
     EXPERIMENTS, ExperimentConfig, entropy_cells, mean_curve, missing_curves,
     read_text, render_table, run_ensemble, run_experiment, write_text,
@@ -234,7 +234,7 @@ def _cmd_entropy(args) -> int:
     label, sources = _load_sources(args, 50_000)
     measure = partial(entropy_cells, orders=orders, alphas=alphas, cls=cls,
                       stabilized=args.stabilized)
-    members = run_ensemble(measure, sources, args.jobs, label)
+    members = run_ensemble(measure, sources, args.jobs)
 
     if len(members) == 1:
         header = ["source", "class", "L", "alpha", "renyi", "z", "z_over_L"]
@@ -268,8 +268,7 @@ def _cmd_decay(args) -> int:
     if args.free_intercept and args.model != "exponential":
         raise ValidationError("--free-intercept applies to the exponential model only")
     label, sources = _load_sources(args, 7_000, 35)
-    members = run_ensemble(partial(missing_curves, orders=(L,)), sources,
-                           args.jobs, label)
+    members = run_ensemble(partial(missing_curves, orders=(L,)), sources, args.jobs)
     fit = fit_decay(mean_curve(members, L), L, model=args.model,
                     fix_intercept=not args.free_intercept)
     header = ["source", "L", "model", "R", "C", "beta", "T_min", "T_max",
@@ -432,6 +431,9 @@ def main(argv=None) -> int:
     except PermzError as exc:
         sys.stderr.write(f"permz {args.command}: error: {exc}\n")
         return exc.exit_code
+    except MemoryError as exc:  # a resource failure: exit 4, as errors.py says
+        sys.stderr.write(f"permz {args.command}: error: out of memory: {exc}\n")
+        return NumericalError.exit_code
 
 
 if __name__ == "__main__":

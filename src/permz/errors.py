@@ -2,7 +2,8 @@
 
 Three categories, mirroring the CLI exit codes: bad arguments or
 parameters (exit 2), bad or insufficient data (exit 3), and numerical
-failures such as overflow or non-convergence (exit 4).  Guards raise the
+or resource failures such as overflow, non-convergence or, mapped by
+the CLI alone, a MemoryError (exit 4).  Guards raise the
 first category through :func:`_float` (numeric guards convert with it),
 :func:`_integer` (every integer-range test), :func:`_reals` (every real array)
 and :func:`_instance` (every argument of a package type).

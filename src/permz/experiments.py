@@ -9,12 +9,11 @@ Every ensemble, here and in the ``entropy`` and ``decay`` commands, runs
 through one engine, :func:`run_ensemble`: each member generates its
 series once from its :class:`ProcessSpec` (or takes a series read from
 a file), applies one measure to it, and the results come back in index
-order.  With ``jobs > 1`` members are computed in a process pool, so
+order.  With ``jobs > 1`` members are computed on a pool of threads, so
 the output does not depend on completion order.  Errors keep their
-class: a package error raised by a member (a ValidationError for an
-order out of range, a NumericalError from a generator) propagates
-unchanged, and only foreign exceptions are wrapped as DataError naming
-the process.
+class: an exception raised by a member (a ValidationError for an order
+out of range, a NumericalError from a generator, a MemoryError) reaches
+the caller unchanged, and the members not yet started are cancelled.
 
 Those commands also share this module's entropy cells, table text and
 text-file reads and writes.
@@ -57,7 +56,7 @@ from .entropy import (
     ComplexityClass, _check_alpha, _check_alpha_labels, z_topological,
 )
 from .entropy import z_entropy  # noqa: F401 -- perfbench traces this binding
-from .errors import DataError, PermzError, ValidationError, _instance
+from .errors import DataError, ValidationError, _instance
 from .ordinal import stabilized_census  # noqa: F401 -- perfbench traces this binding
 from .processes import (
     _PROC_SEED_STRIDE, ProcessSpec, _check_count, _check_length, _check_seed,
@@ -174,42 +173,35 @@ def write_text(path, text: str, what: str = "output") -> None:
 # -- the ensemble engine ----------------------------------------------------
 
 def pool_size(jobs: int, members: int) -> int:
-    """Worker processes for an ensemble of ``members`` at ``jobs``: never
+    """Worker threads for an ensemble of ``members`` at ``jobs``: never
     more than the members or the CPUs; 1 means no pool."""
     _check_count("jobs", jobs)
     return max(1, min(jobs, members, os.cpu_count() or 1))
 
 
-def _measure_member(measure, source):
-    series = generate(source) if isinstance(source, ProcessSpec) else source
-    return measure(series)
-
-
-def run_ensemble(measure, sources, jobs: int, label: str) -> list:
+def run_ensemble(measure, sources, jobs: int) -> list:
     """``measure(series)`` for the series of every source, in index order.
 
     A source is a :class:`ProcessSpec`, generated where it is measured,
-    or a series array.  With ``jobs > 1`` the members run in a process
-    pool, so ``measure`` must be picklable: a module-level function or a
-    :func:`functools.partial` of one.  Package errors propagate with
-    their class; any other exception becomes a :class:`DataError`
-    naming ``label``.
+    or a series array.  With ``jobs > 1`` the members run on a pool of
+    threads.  An exception raised by a member reaches the caller with its
+    own class, and the members not yet started are cancelled.
     """
+    def member(source):
+        return measure(generate(source) if isinstance(source, ProcessSpec) else source)
+
     sources = list(sources)
     workers = pool_size(jobs, len(sources))
-    task = partial(_measure_member, measure)
-    try:
-        if workers == 1:
-            return [task(source) for source in sources]
-        # imported here: only a pool needs it, and it costs start-up time
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        return [member(source) for source in sources]
+    # imported here: concurrent.futures loads logging, a start-up cost
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, sources, chunksize=1))
-    except PermzError:
-        raise
-    except Exception as exc:
-        raise DataError(f"process {label!r} failed: {exc}") from exc
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(member, sources))
+    finally:  # after an error or Ctrl-C, no member that has not started runs
+        pool.shutdown(cancel_futures=True)
 
 
 def mean_curve(members, key) -> np.ndarray:
@@ -221,12 +213,12 @@ def mean_curve(members, key) -> np.ndarray:
     return np.mean(np.vstack(curves), axis=0)
 
 
-def _ensemble(config: ExperimentConfig, j: int, name: str, spec: ProcessSpec,
-              length: int, measure) -> list:
+def _ensemble(config: ExperimentConfig, j: int, spec: ProcessSpec, length: int,
+              measure) -> list:
     """``measure`` over the realizations of process ``j`` of an experiment."""
     specs = realization_specs(replace(spec, length=length, seed=config.seed),
                               config.realizations, j)
-    return run_ensemble(measure, specs, config.jobs, name)
+    return run_ensemble(measure, specs, config.jobs)
 
 
 # -- measures ---------------------------------------------------------------
@@ -272,7 +264,7 @@ def _z_curves(columns, config: ExperimentConfig, length: int) -> dict:
     for j, (label, spec, cls, col_orders) in enumerate(columns):
         measure = partial(entropy_cells, orders=col_orders, alphas=config.alphas,
                           cls=cls)
-        members = _ensemble(config, j, label, spec, length, measure)
+        members = _ensemble(config, j, spec, length, measure)
         cells = [(L, alpha) for L in col_orders for alpha in config.alphas]
         # a contiguous row per cell meets the kernel of a 1-d mean and std; axis 0
         # of (members x cells), `permz entropy`'s form, differs in the last bits
@@ -340,8 +332,7 @@ def _g_tables(stem: str, processes, config: ExperimentConfig, length: int,
     L = 6
     curves, unions = {}, {}
     for j, (name, spec) in enumerate(processes):
-        members = _ensemble(config, j, name, spec, length,
-                            partial(_g_curve_and_support, L=L))
+        members = _ensemble(config, j, spec, length, partial(_g_curve_and_support, L=L))
         curves[name] = mean_curve(members, 0)
         unions[name] = len({code for _, support in members for code in support})
     header = ["T"] + [name for name, _ in processes]
@@ -374,8 +365,7 @@ def _experiment_table1(config: ExperimentConfig, length: int):
     orders = (4, 5, 6)
     fits: dict[tuple[str, int], object] = {}
     for j, (name, spec) in enumerate(FACTORIAL_PROCESSES):
-        members = _ensemble(config, j, name, spec, length,
-                            partial(missing_curves, orders=orders))
+        members = _ensemble(config, j, spec, length, partial(missing_curves, orders=orders))
         for L in orders:
             fits[(name, L)] = fit_decay(mean_curve(members, L), L)
     header = ["process"] + [f"R_L{L}" for L in orders] + [

@@ -34,7 +34,9 @@ noiseless orbit of ``noisy-logistic``/``noisy-schuster`` keyed by
 bytes (``16 * T`` for an fGn key and an orbit key), so the memos retain
 at most about ``128 * T`` bytes for the largest ``T`` generated; ``T``
 is the caller's choice.  Returned series are new writeable arrays,
-bit-identical to uncached ones; each pool worker fills its own memos.
+bit-identical to uncached ones.  The threads of an ensemble share the
+memos: a key missed by two threads at once is computed twice, with
+equal bits.
 """
 
 from __future__ import annotations

@@ -167,11 +167,12 @@ def test_read_series_reports_the_bad_line(tmp_path):
 
 
 def test_importing_the_cli_starts_no_pool_machinery():
+    # concurrent.futures loads logging, a start-up cost only a pool may pay
     src = os.path.dirname(os.path.dirname(permz.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", "import sys, permz.cli; "
-         "print('concurrent.futures.process' in sys.modules)"],
+         "print('concurrent.futures' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=60).stdout
     assert out == "False\n"
 
@@ -641,6 +642,25 @@ def test_class_constant_too_small_for_a_double_exits_4(token, shown, capsys):
                         "--orders", "4", "--class", token)
     assert code == 4 and out == ""
     assert f"class {shown}: s / c overflows" in capsys.readouterr().err
+
+
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 2.00 EiB for an array")
+
+
+@pytest.mark.parametrize("argv, allocation", [
+    (("generate", "--process", "white-noise", "--length", "1000"), "permz.rng.raw_words"),
+    *[(("entropy", "--process", "white-noise", "--length", "300", "--orders", "3",
+        "--realizations", "2", "--jobs", jobs), "permz.experiments.generate")
+      for jobs in ("1", "2")],
+])
+def test_out_of_memory_exits_4_without_a_traceback(argv, allocation, monkeypatch, capsys):
+    # an allocation that fails, never real exhaustion
+    monkeypatch.setattr(allocation, _out_of_memory)
+    code, out = run_cli(*argv)
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err == (
+        f"permz {argv[0]}: error: out of memory: Unable to allocate 2.00 EiB for an array\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -53,24 +54,44 @@ def test_pool_size_is_bounded_by_members_and_cpus(monkeypatch):
 def test_run_ensemble_generates_specs_and_keeps_index_order():
     sources = [ProcessSpec("white-noise", length=n, seed=n) for n in (5, 3, 8)]
     sources.append(np.zeros(2))
-    assert run_ensemble(len, sources, 1, "mixed") == [5, 3, 8, 2]
+    assert run_ensemble(len, sources, 1) == [5, 3, 8, 2]
 
 
 def test_run_ensemble_pool_keeps_index_order():
     sources = [np.zeros(n) for n in (4, 1, 3, 2)]
-    assert run_ensemble(len, sources, 2, "zeros") == [4, 1, 3, 2]
+    assert run_ensemble(len, sources, 2) == [4, 1, 3, 2]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_ensemble_keeps_package_error_classes(jobs):
     with pytest.raises(NumericalError):
-        run_ensemble(_raise_numerical, [np.zeros(3)] * 2, jobs, "x")
+        run_ensemble(_raise_numerical, [np.zeros(3)] * 2, jobs)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_run_ensemble_wraps_foreign_errors(jobs):
-    with pytest.raises(DataError, match="process 'x' failed: boom"):
-        run_ensemble(_raise_foreign, [np.zeros(3)] * 2, jobs, "x")
+def test_run_ensemble_keeps_foreign_error_classes(jobs):
+    with pytest.raises(ZeroDivisionError, match="^boom$"):
+        run_ensemble(_raise_foreign, [np.zeros(3)] * 2, jobs)
+
+
+def test_run_ensemble_pool_takes_a_measure_that_does_not_pickle():
+    sources = [np.arange(n, dtype=float) for n in (4, 1, 3, 2)]
+    measure = lambda series: float(series.sum())  # noqa: E731
+    assert run_ensemble(measure, sources, 2) == run_ensemble(measure, sources, 1)
+
+
+def test_run_ensemble_pool_cancels_members_after_an_error():
+    ran = []
+
+    def measure(series):
+        if series.size == 1:  # the member at index 0
+            raise ZeroDivisionError("first")
+        time.sleep(0.05)
+        ran.append(series.size)
+
+    with pytest.raises(ZeroDivisionError, match="first"):
+        run_ensemble(measure, [np.zeros(n) for n in range(1, 21)], 2)
+    assert len(ran) < 19
 
 
 def test_fig1_pool_from_a_cold_memo_equals_the_in_process_run():
@@ -79,12 +100,17 @@ def test_fig1_pool_from_a_cold_memo_equals_the_in_process_run():
         return tables, json.dumps(result.summary, sort_keys=True, default=str)
 
     config = ExperimentConfig(realizations=2)
-    processes._fgn_amplitudes.cache_clear()
-    processes._noiseless_orbit.cache_clear()
+    memos = (processes._fgn_amplitudes, processes._noiseless_orbit)
+    for memo in memos:
+        memo.cache_clear()
     pooled = run_experiment("fig1", replace(config, jobs=2))
-    if pool_size(2, 2) == 2:  # every member ran in a worker, with its own memo
-        assert processes._fgn_amplitudes.cache_info().currsize == 0
-        assert processes._noiseless_orbit.cache_info().currsize == 0
+    misses = [memo.cache_info().misses for memo in memos]
+    # the keys of fig1's seven processes at its default T, each already held
+    kept = [processes._fgn_amplitudes(50_000, h)[2] for h in (0.2, 0.4, 0.6)]
+    kept += [processes._noiseless_orbit(kind, processes._DEFAULT_X0, 50_000)
+             for kind in ("noisy-logistic", "noisy-schuster")]
+    assert [memo.cache_info().misses for memo in memos] == misses
+    assert not any(array.flags.writeable for array in kept)
     assert rendered(pooled) == rendered(run_experiment("fig1", config))
 
 
@@ -140,9 +166,9 @@ def test_z_curves_reduce_each_cell_as_a_1d_array(size, data):
                   st.floats(-4.0, 4.0), min_size=size, max_size=size))
               for label, *_, orders in columns for L in orders for alpha in config.alphas}
 
-    def ensemble(config, j, label, spec, length, measure):
+    def ensemble(config, j, spec, length, measure):
         return [{(L, alpha): (None, None, vals[i])
-                 for (name, L, alpha), vals in values.items() if name == label}
+                 for (name, L, alpha), vals in values.items() if name == columns[j][0]}
                 for i in range(size)]
 
     with mock.patch.object(experiments, "_ensemble", ensemble):
@@ -239,7 +265,7 @@ def test_fractional_jobs_raise_validation_error_before_any_member():
     with pytest.raises(ValidationError, match="at least 1"):
         pool_size(1.5, 2)
     with pytest.raises(ValidationError, match="at least 1"):
-        run_ensemble(_raise_foreign, [np.zeros(3)] * 2, 1.5, "x")
+        run_ensemble(_raise_foreign, [np.zeros(3)] * 2, 1.5)
 
 
 def test_entropy_cells_compute_each_renyi_entropy_once(monkeypatch):
