@@ -229,12 +229,11 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
     ``(L, alpha)``, from the stabilized census or else every window's;
     alpha 0 gives the topological Z-entropy of the support (its
     ``math.log``, which can differ from R_0's ``np.log`` in the last bit)."""
-    count = partial(ordinal._census, stabilized=stabilized)
-    coded = ordinal._position_codes(series, orders)  # checks, codes nothing yet
+    codes = ordinal._position_codes(series, orders)
     checked = [(alpha, _check_alpha(alpha)) for alpha in alphas]
     out = {}
-    # map holds no code array once it is counted
-    for L, (_, counts) in zip(orders, map(count, coded, orders)):
+    for L in orders:
+        counts = ordinal._census(codes[L], L, stabilized)[1]
         p = counts / counts.sum()  # positive counts: p is its own support
         for alpha, a in checked:
             r = entropy._renyi(p, a)
@@ -251,8 +250,8 @@ def _g_curve_and_support(series, L: int) -> tuple[np.ndarray, list[int]]:
 
 def missing_curves(series, orders) -> dict[int, np.ndarray]:
     """Missing-pattern count ``L! - A`` at every prefix length, per order."""
-    curves = map(ordinal._prefix_curve, ordinal._position_codes(series, orders), orders)
-    return {L: math.factorial(L) - curve for L, curve in zip(orders, curves)}
+    codes = ordinal._position_codes(series, orders)
+    return {L: math.factorial(L) - ordinal._prefix_curve(codes[L], L) for L in orders}
 
 
 # -- fig1 / fig4 (Z-entropy rates) ------------------------------------------

@@ -201,18 +201,18 @@ def _lag_sums(x: np.ndarray, top: int) -> np.ndarray:
     return F
 
 
-def _position_codes(series, orders):
-    """Iterator over the position codes of every window of the series at
-    each of ``orders``, in the order given (repeats included).
+def _position_codes(series, orders) -> dict[int, np.ndarray]:
+    """``{L: position codes}`` of every window of the series, for each of
+    ``orders``.
 
     The position code of the window at ``w`` is ``P_L[w] = sum_a l_a (L-1-a)!``,
     the Lehmer code of the rank of each position; :func:`_lehmer` names its
     pattern.  With the lag sums it follows from ``P_2 = F[1]`` and
     ``P_{L+1}[w] = P_L[w + 1] + L! F[L, w]``: one multiply-add per order,
     each in the narrowest integer that holds ``L! - 1``.  The lag sums up
-    to the largest order are built once and serve every order.  Orders,
-    the series and its length are checked before any work; the sums are
-    released before the first order is used.
+    to the largest order are built once, serve every order and are released
+    when the call returns.  Orders, the series and its length are checked
+    before any work.
     """
     orders = tuple(orders)
     for L in orders:
@@ -221,15 +221,11 @@ def _position_codes(series, orders):
     for L in orders:
         if x.size < L:
             raise DataError(f"series of length {x.size} is shorter than L={L}")
-    return _coded(x, orders)
-
-
-def _coded(x: np.ndarray, orders: tuple[int, ...]):
     if not orders:
-        return
+        return {}
     top = max(orders)
     F = _lag_sums(x, top)
-    pos, kept = F[1, : x.size - 1].copy(), {}  # P_2, not a view that holds F
+    pos, codes = F[1, : x.size - 1].copy(), {}  # P_2, not a view that holds F
     for L in range(2, top + 1):
         if L > 2:
             step = np.multiply(F[L - 1, : pos.size - 1], factorial(L - 1),
@@ -237,14 +233,12 @@ def _coded(x: np.ndarray, orders: tuple[int, ...]):
             step += pos[1:]
             pos = step
         if L in orders:
-            kept[L] = pos
-    del F, pos
-    for L in orders:
-        yield kept[L]
+            codes[L] = pos
+    return codes
 
 
 def _positions(series, L: int) -> np.ndarray:
-    return next(_position_codes(series, (L,)))
+    return _position_codes(series, (L,))[L]
 
 
 def _lehmer(pos: np.ndarray, L: int) -> np.ndarray:

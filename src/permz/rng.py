@@ -5,8 +5,10 @@ stream with seed ``s`` is ``mix64(s + (k + 1) * GAMMA)`` where ``GAMMA``
 is the 64-bit golden-ratio constant 0x9E3779B97F4A7C15 and ``mix64`` is
 the standard SplitMix64 finalizer (Steele, Lea & Flood 2014; the same
 sequence a stateful SplitMix64 emits).  Counter mode makes every draw
-addressable, so streams can be produced in vectorized blocks and
-replicated exactly in any language from the constants alone.
+addressable, so streams can be produced in vectorized blocks.  Words and
+uniforms replicate exactly in any language from the constants alone;
+gaussians follow numpy's ``np.log``, whose AVX-512 kernel is 1 ulp off its
+baseline kernel on some inputs, so fgn and fbm bits can differ by CPU.
 
 Derived variates, in documented draw order:
 

@@ -327,10 +327,11 @@ def pairwise_window_codes(series, L: int) -> np.ndarray:
 
 
 def lehmer_per_order(series, orders):
-    """The position codes of :func:`_position_codes` at each of ``orders``,
-    each order named as Lehmer codes by ``ordinal._lehmer``."""
+    """The position codes of :func:`_position_codes` at each of ``orders``
+    (repeats included), each order named as Lehmer codes by ``ordinal._lehmer``."""
     orders = tuple(orders)
-    return map(ordinal._lehmer, _position_codes(series, orders), orders)
+    codes = _position_codes(series, orders)
+    return [ordinal._lehmer(codes[L], L) for L in orders]
 
 
 _KIND_PARAMETERS = {"fgn": {"hurst": 0.3}, "fbm": {"hurst": 0.7},
@@ -409,11 +410,9 @@ def test_position_codes_releases_the_lag_sums_with_the_last_order(monkeypatch):
 
     lag_sums = ordinal._lag_sums
     monkeypatch.setattr(ordinal, "_lag_sums", kept)
-    coded = lehmer_per_order(np.random.default_rng(1).normal(size=100), (5, 3))
-    next(coded)
-    assert len(sums) == 1
-    next(coded)  # the last order: the sums are gone before it is used
-    assert sums[0]() is None
+    codes = _position_codes(np.random.default_rng(1).normal(size=100), (5, 3))
+    assert codes.keys() == {3, 5} and len(sums) == 1
+    assert sums[0]() is None  # the sums are gone once the call returns
 
 
 # a few value levels make ties; a leading run of equal values makes
@@ -599,6 +598,24 @@ def test_census_of_position_codes_equals_the_row_major_census_at_length(kind):
     for L in (2, 3, 4, 5, 6, 7, 9):
         for stabilized in (True, False):
             assert_census_equals_row_major(x, L, stabilized)
+
+
+_MANY_BLOCK_SERIES = {
+    "normal": lambda rng: rng.normal(size=250_007),
+    "ties": lambda rng: rng.integers(0, 3, size=420_000).astype(np.float64),
+    "xp-period-3": lambda rng: generate(ProcessSpec("xp", length=450_000, seed=23,
+                                                    period=3)),
+}
+
+
+@pytest.mark.parametrize("kind", _MANY_BLOCK_SERIES)
+def test_census_above_the_tables_in_many_blocks_equals_the_row_major_census(kind):
+    # L = 8 over more than 5 * 8! = 201,600 windows: a stabilized census
+    # of several blocks, whose codes are named without tables
+    x = _MANY_BLOCK_SERIES[kind](np.random.default_rng(23))
+    assert x.size - 7 > 5 * math.factorial(8)
+    for stabilized in (True, False):
+        assert_census_equals_row_major(x, 8, stabilized)
 
 
 def _inverse(perm):
