@@ -5,7 +5,7 @@ decay ``M_{L,T} = L! - A_{L,T}`` (an array over ``T = L, L+1, ...``, from
 the prefix curve ``A_{L,T}`` of :func:`permz.ordinal.visible_curve`),
 exact combinatorics of the noisy-periodic process family, growth-constant
 estimation, empirical forbidden-pattern detection for deterministic
-maps (a seen-mask over the ``L!`` position codes; only the missing codes
+maps (window counts over the ``L!`` position codes; only the missing codes
 are named as Lehmer codes and patterns).
 """
 

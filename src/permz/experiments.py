@@ -242,10 +242,10 @@ def entropy_cells(series, orders, alphas, cls: ComplexityClass,
     return out
 
 
-def _g_curve_and_support(series, L: int) -> tuple[np.ndarray, list[int]]:
-    """``ln A_{L,T}`` at every prefix length and the codes seen (small L)."""
+def _g_curve_and_codes(series, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """``ln A_{L,T}`` at every prefix length and every window's position code."""
     codes = ordinal._positions(series, L)
-    return np.log(ordinal._prefix_curve(codes, L)), ordinal._census(codes, L)[0].tolist()
+    return np.log(ordinal._prefix_curve(codes, L)), codes
 
 
 def missing_curves(series, orders) -> dict[int, np.ndarray]:
@@ -327,13 +327,13 @@ def _g_tables(stem: str, processes, config: ExperimentConfig, length: int,
               every: int):
     """Ensemble mean of ``g(6, T) = ln A_{6,T}`` per process at the ``T``
     divisible by ``every`` and at ``T = 6``, its final values, and each
-    process's visible union: the distinct patterns of all its members."""
+    process's visible union: one census of all its members' codes."""
     L = 6
     curves, unions = {}, {}
     for j, (name, spec) in enumerate(processes):
-        members = _ensemble(config, j, spec, length, partial(_g_curve_and_support, L=L))
+        members = _ensemble(config, j, spec, length, partial(_g_curve_and_codes, L=L))
         curves[name] = mean_curve(members, 0)
-        unions[name] = len({code for _, support in members for code in support})
+        unions[name] = ordinal._census(np.concatenate([c for _, c in members]), L)[0].size
     header = ["T"] + [name for name, _ in processes]
     rows = [[t] + [f"{curves[name][k]:.6f}" for name, _ in processes]
             for k, t in enumerate(range(L, length + 1)) if t % every == 0 or t == L]

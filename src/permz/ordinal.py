@@ -6,17 +6,17 @@ counts as smaller.  Rank vectors are permutations of ``0..L-1`` and are
 keyed by their Lehmer code, an integer in ``[0, L!)``.
 
 Every census lives here: each slides a stride-1 window over the series
-(``N - L + 1`` windows of a series of length ``N``) and counts them by
-the one census rule, ``_census``, which owns block size, stop and order
-and returns code and count arrays.  Windows are coded by position codes,
-the Lehmer code of the rank of each position, which follow order by order
-from running sums of comparisons over the lags (``_lag_sums``), built once
-per series up to its largest order: ``_position_codes`` serves every order
-of a series from one pass at one multiply-add per order.  Every count and
-scan works on position codes.  Lehmer codes are made only where a pattern
-is named (the codes a census keeps, the missing codes of a map scan, every
-window in ``window_codes``): from per-process tables (``_names``) up to
-order ``_TABLE_ORDER`` = 7, else by ``_lehmer``, which builds the tables.
+(``N - L + 1`` windows of a series of length ``N``) and counts them by the
+one census rule, ``_census``, which owns block size, stop and order and
+returns code and count arrays.  Windows are coded by position codes, the
+Lehmer code of the rank of each position, which follow order by order from
+running sums of comparisons over the lags (``_lag_sums``), built once per
+series up to its largest order: ``_position_codes`` serves every order of
+a series from one pass at one multiply-add per order.  Counts and scans
+work on position codes, in ``L!`` rows at any length up to order
+``_TABLE_ORDER`` = 7.  Lehmer codes are made only where a pattern is named
+(the codes a census keeps, a map scan's missing codes, ``window_codes``):
+from per-process tables (``_names``) up to order 7, else by ``_lehmer``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
 
 _MAX_ORDER = 20  # 21! - 1 overflows the int64 codes
 _MAX_FACTORIAL = sys.maxsize  # the largest n math.factorial takes
-_TABLE_ORDER = 7  # the largest order named from tables: 8 would add 1.6 MB of RSS
+_TABLE_ORDER = 7  # named from tables, counted in L! rows: 8 would add 1.6 MB of RSS
 
 
 def _check_order(L, hi=_MAX_ORDER) -> int:
@@ -301,12 +301,12 @@ def window_codes(series, L: int) -> np.ndarray:
 
 def _census(pos: np.ndarray, L: int, stabilized: bool = False) -> tuple:
     """The census rule of :func:`stabilized_census` (``5 * L!`` blocks) or of
-    :func:`pattern_census` over position codes: the Lehmer codes seen, by
-    first block then code, and their counts."""
+    :func:`pattern_census` over position codes, in ``L!`` rows up to order 7:
+    the Lehmer codes seen, by first block then code, and their counts."""
     n, m = pos.size, factorial(L)
-    if m > n:  # every block rule gives one block
+    if L > _TABLE_ORDER and m > n:  # every block rule gives one block
         seen, counts = np.unique(pos, return_counts=True)
-        codes = _names(L)[0][seen] if L <= _TABLE_ORDER else _lehmer(seen, L)
+        codes = _lehmer(seen, L)
         order = np.argsort(codes)
         return codes[order], counts[order]
     block = 5 * m if stabilized else n
@@ -377,9 +377,9 @@ def visible_curve(series, L: int) -> np.ndarray:
 
 def _prefix_curve(codes: np.ndarray, L: int) -> np.ndarray:
     """:func:`visible_curve` of these position codes: each code is counted
-    at its first occurrence."""
+    at its first occurrence, in ``L!`` columns up to ``_TABLE_ORDER``."""
     m, col = factorial(L), codes  # a column per code
-    if m > codes.size:  # or, when L! > n windows, per distinct code
+    if L > _TABLE_ORDER and m > codes.size:  # or per distinct code
         uniq, col = np.unique(codes, return_inverse=True)
         m = uniq.size
     first = np.full(m, codes.size)  # codes.size: never seen

@@ -15,7 +15,7 @@ from permz.analysis import stabilized_census
 from permz.entropy import ComplexityClass, renyi_entropy, z_topological
 from permz.errors import DataError, NumericalError, ValidationError
 from permz.experiments import (
-    ExperimentConfig, _g_curve_and_support, entropy_cells, mean_curve, missing_curves,
+    ExperimentConfig, _g_curve_and_codes, entropy_cells, mean_curve, missing_curves,
     pool_size, render_table, run_ensemble, run_experiment,
 )
 from permz.ordinal import pattern_census, visible_curve
@@ -356,22 +356,52 @@ def test_missing_curves_code_each_series_once(monkeypatch):
 
 def test_fig3_measure_codes_each_series_once(monkeypatch):
     series = generate(ProcessSpec("xp", length=50, seed=3, period=4))
-    want = (np.log(visible_curve(series, 6)), list(pattern_census(series, 6).counts))
+    want = (np.log(visible_curve(series, 6)), ordinal._positions(series, 6))
     tops = _count_lag_sums(monkeypatch)
-    g, support = _g_curve_and_support(series, 6)
+    g, codes = _g_curve_and_codes(series, 6)
     assert tops == [6]
-    assert g.tobytes() == want[0].tobytes() and support == want[1]
+    assert g.tobytes() == want[0].tobytes()
+    assert codes.dtype == want[1].dtype and np.array_equal(codes, want[1])
 
 
 @pytest.mark.parametrize("spec", [ProcessSpec("xp", length=400, seed=5, period=3),
                                   ProcessSpec("white-noise", length=3_000, seed=5)])
 def test_g_measure_support_equals_the_census_support(spec):
-    # 400 leaves L! = 720 > n windows (the prefix curve's distinct-code
-    # columns), 3000 does not
+    # 400 leaves L! = 720 > n windows, 3000 does not
     series = generate(spec)
-    g, support = _g_curve_and_support(series, 6)
-    assert support == list(pattern_census(series, 6).counts)
+    g, codes = _g_curve_and_codes(series, 6)
+    assert ordinal._census(codes, 6)[0].tolist() == list(pattern_census(series, 6).counts)
     assert g.tobytes() == np.log(visible_curve(series, 6)).tobytes()
+
+
+def _union_of_member_censuses(spec, config, length, j) -> int:
+    """The rule the fig2/fig3 runner replaced: a set of every member's census codes."""
+    members = processes.realization_specs(replace(spec, length=length, seed=config.seed),
+                                          config.realizations, j)
+    return len({code for m in members for code in pattern_census(generate(m), 6).counts})
+
+
+@pytest.mark.parametrize("config", [ExperimentConfig(realizations=2),
+                                    ExperimentConfig(realizations=20, t_max=60)])
+def test_fig3_union_is_the_distinct_patterns_of_its_members(config, tmp_path):
+    # 2 x 45 windows leave 6! = 720 > n in the union's census, 20 x 55 do not
+    unions = run_experiment("fig3", config, tmp_path).summary["union_support"]
+    assert unions == {
+        f"xp-p{p}": _union_of_member_censuses(ProcessSpec("xp", length=1, period=p),
+                                              config, config.t_max or 50, j)
+        for j, p in enumerate((2, 3, 4, 5, 6))
+    }
+
+
+def test_g_union_counts_the_patterns_no_single_member_shows():
+    # 35 windows per white-noise member: the union exceeds every member's support
+    kinds = [("white-noise", ProcessSpec("white-noise", length=1)),
+             ("noisy-logistic", ProcessSpec("noisy-logistic", length=1))]
+    config = ExperimentConfig(realizations=4)
+    unions = experiments._g_tables("g", kinds, config, 40, 1)[2]
+    want = {name: _union_of_member_censuses(spec, config, 40, j)
+            for j, (name, spec) in enumerate(kinds)}
+    assert unions == want and want["white-noise"] > 35
 
 
 def test_mean_curve_averages_point_by_point_and_needs_one_length():

@@ -24,6 +24,11 @@ The ``--output`` runs of ``generate``, ``census``, ``entropy`` and
 ``--seed`` and ``--realizations``; they were captured while ``--seed``
 and ``--realizations`` still had argparse defaults, so they pin the
 defaults each ``--process`` run records.
+
+fig4's summary (its fits) and the ``generate --process fgn`` digest depend on
+numpy's ``np.log`` kernel, so each holds one digest per kernel
+(``log_kernel``): the AVX-512 one as captured, and the baseline one captured
+with AVX-512 off.
 """
 
 import hashlib
@@ -36,6 +41,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from log_kernel import for_this_kernel
 from permz.analysis import _orbit_batch, forbidden_patterns_of_map
 from permz.cli import main
 from permz.experiments import ExperimentConfig, run_experiment
@@ -82,8 +88,10 @@ GOLDEN = {
             "2759fb8ddd9656bc00eea47ad95fd851732d2af6794c49d0bc156e3c8e9d2097",
         "fig4_alpha1.csv":
             "f797f36048d928dbc83ba5b8939f12ce2efda484255a5e90e85aa04b87ad6a64",
-        "summary":
-            "305b5d03c5baa3e708043fec2aafd4ee9a29284b8f3138b3729b288bffb358ad",
+        "summary": {
+            "avx512": "305b5d03c5baa3e708043fec2aafd4ee9a29284b8f3138b3729b288bffb358ad",
+            "baseline": "6305cc2f6bf32ae5f6b21642940940862b1ee7c170cf3775097a5a79711a9430",
+        },
     },
     "table1": {
         "summary":
@@ -114,7 +122,8 @@ def digests(name: str, config: ExperimentConfig, outdir: Path) -> dict[str, str]
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_experiment_outputs_match_golden_digests(name, tmp_path):
-    assert digests(name, CONFIGS[name], tmp_path) == GOLDEN[name]
+    want = {key: for_this_kernel(golden) for key, golden in GOLDEN[name].items()}
+    assert digests(name, CONFIGS[name], tmp_path) == want
 
 
 @pytest.mark.parametrize("name", ["fig3", "table1"])
@@ -158,8 +167,10 @@ CLI_GOLDEN = {
     ("generate", "--process", "noisy-schuster", "--length", "200", "--seed", "4"):
         "010f1020b90d485bf64071b1f0ac9f04e2e6add13e2dbbb81c1ec4367ff03aa5",
     ("generate", "--process", "fgn", "--hurst", "0.3", "--length", "200",
-     "--seed", "6"):
-        "afb8f223a479a80a3f445604eb346df00eb5a60d1a56931800e7663b0d4e60f2",
+     "--seed", "6"): {
+        "avx512": "afb8f223a479a80a3f445604eb346df00eb5a60d1a56931800e7663b0d4e60f2",
+        "baseline": "55aca424822ff729b4a3a0a935ff91e8633301523e8271657d5f5ab2fb3e37e1",
+    },
     ("generate", "--process", "shift", "--length", "3000", "--seed", "7"):
         "1117b65225917058fd4482aa85c7fb0275c51f4c2052fae0c92d5e3bb85a5bb9",
     ("generate", "--process", "shift", "--length", "3000", "--seed", "-3"):
@@ -195,7 +206,8 @@ def test_cli_outputs_match_golden_digests(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert main(list(argv)) == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CLI_GOLDEN[argv]
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == for_this_kernel(CLI_GOLDEN[argv])
 
 
 @pytest.mark.parametrize("seed, rows_digest", [

@@ -680,6 +680,30 @@ def test_orders_up_to_the_cap_are_named_without_lehmer(monkeypatch):
     assert forbidden_patterns_of_map(ProcessSpec("logistic", 1), 7, 2, 100)
 
 
+class _UniqueCalled(Exception):
+    pass
+
+
+def test_orders_up_to_the_cap_never_reach_np_unique(monkeypatch):
+    # one window and L! - 1 windows, fewer than the codes: orders 2..7 count
+    # in L! rows all the same; L = 8 takes the np.unique exit, so the hook fires
+    def refused(*args, **kwargs):
+        raise _UniqueCalled
+
+    x = generate(ProcessSpec("white-noise", length=7 + math.factorial(8), seed=5))
+    monkeypatch.setattr(np, "unique", refused)
+    for L in range(2, ordinal._TABLE_ORDER + 1):
+        for windows in (1, math.factorial(L) - 1):
+            series = x[: L - 1 + windows]
+            for measure in (pattern_census, stabilized_census, visible_curve,
+                            window_codes):
+                measure(series, L)
+    for windows in (1, math.factorial(8) - 1):
+        for measure in (pattern_census, stabilized_census, visible_curve):
+            with pytest.raises(_UniqueCalled):
+                measure(x[: 7 + windows], 8)
+
+
 def test_a_fig4_sized_run_tables_no_order_above_the_cap():
     ordinal._names.cache_clear()
     x = generate(ProcessSpec("xp", length=50_000, seed=3, period=2))
