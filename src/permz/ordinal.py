@@ -302,9 +302,12 @@ def window_codes(series, L: int) -> np.ndarray:
 def _census(pos: np.ndarray, L: int, stabilized: bool = False) -> tuple:
     """The census rule of :func:`stabilized_census` (``5 * L!`` blocks) or of
     :func:`pattern_census` over position codes, in ``L!`` rows up to order 7:
-    the Lehmer codes seen, by first block then code, and their counts."""
+    the Lehmer codes seen, by first block then code, and their counts.
+    Above order 7 a census of at most ``5 * L!`` windows, one block under
+    both rules, counts its distinct codes with ``np.unique``; a longer one
+    counts in ``L!`` rows, which is faster there."""
     n, m = pos.size, factorial(L)
-    if L > _TABLE_ORDER and m > n:  # every block rule gives one block
+    if L > _TABLE_ORDER and n <= 5 * m:  # one block under both rules
         seen, counts = np.unique(pos, return_counts=True)
         codes = _lehmer(seen, L)
         order = np.argsort(codes)

@@ -16,7 +16,9 @@ documented draw order per kind:
   uniform on [-amplitude, amplitude].
 * ``xp``                -- T uniforms; each maps to noise uniform on
   (-delta/2, delta/2) except at the noiseless residues, where the
-  sample is exact (the uniform is still consumed).
+  sample is exact (the uniform is still consumed).  The series is built
+  in the buffer of its uniforms.  ``delta`` is refused unless
+  ``delta * min(period, T)``, a bound on the largest sample, is finite.
 * ``piecewise-linear``  -- one uniform per started block of
   ``_DITHER_PERIOD`` steps when dithering is enabled.
 * ``logistic``          -- none (pure orbit of 4x(1-x)).
@@ -176,6 +178,10 @@ class ProcessSpec:
             _check_period(self.period)
         if self.delta is not None and not self.delta > 0:
             raise ValidationError("delta must be positive")
+        # the largest sample is below delta times the phases the series reaches
+        if self.delta is not None and not math.isfinite(
+                self.delta * min(self.period, self.length)):
+            raise ValidationError("delta * min(period, length) must be finite")
         if self.noiseless_residues is not None:
             object.__setattr__(self, "noiseless_residues", _check_residues(
                 self.noiseless_residues, self.period))
@@ -370,16 +376,22 @@ def _shift_series(n: int, stream: Stream) -> np.ndarray:
 
 
 def _xp_series(spec: ProcessSpec, stream: Stream) -> np.ndarray:
+    """The xp series, built in the buffer of its uniforms."""
     p = spec.period
     delta = 1.0 if spec.delta is None else spec.delta
-    residues = _check_residues(spec.noiseless_residues, p)
     amplitude = delta / 2.0 - _XP_AMPLITUDE_MARGIN * delta
     levels = min(p, spec.length)  # the phases the series reaches
-    cycles = -(-spec.length // levels)  # one period tiled: no modulo per sample
-    phase = np.tile(np.arange(levels), cycles)[: spec.length]
-    zeta = amplitude * (2.0 * stream.uniforms(spec.length) - 1.0)
-    zeta[np.tile(np.isin(np.arange(levels), residues), cycles)[: spec.length]] = 0.0
-    return delta * phase + zeta
+    cycles, rest = divmod(spec.length, levels)
+    x = stream.uniforms(spec.length)
+    x *= 2.0  # the noise, amplitude * (2u - 1), bit for bit
+    x -= 1.0
+    x *= amplitude
+    quiet = np.isin(np.arange(levels), _check_residues(spec.noiseless_residues, p))
+    x[: cycles * levels].reshape(cycles, levels)[:, quiet] = 0.0  # one row a period
+    x[cycles * levels :][quiet[:rest]] = 0.0
+    # one period tiled, no modulo per sample: delta * phase + noise, bit for bit
+    x += np.tile(delta * np.arange(levels), cycles + (rest > 0))[: spec.length]
+    return x
 
 
 def generate(spec: ProcessSpec) -> np.ndarray:

@@ -224,6 +224,22 @@ def test_generate_nonfinite_parameter_exits_2(argv, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "entropy"])
+def test_xp_delta_whose_series_would_overflow_exits_2_without_a_warning(command):
+    # generate wrote inf after numpy's overflow warning and exited 0; entropy
+    # exited 3, blaming the series.  Run fresh, with warnings as they print
+    src = os.path.dirname(os.path.dirname(permz.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, permz.cli; sys.exit(permz.cli.main())",
+         command, "--process", "xp", "--period", "3", "--delta", "1e308",
+         "--length", "5"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert "delta * min(period, length) must be finite" in run.stderr
+    assert "Warning" not in run.stderr
+
+
 def test_generate_xp_period_beyond_the_series():
     # ended in an OverflowError traceback, exit 1
     far = run_cli("generate", "--process", "xp", "--length", "5",

@@ -704,6 +704,28 @@ def test_orders_up_to_the_cap_never_reach_np_unique(monkeypatch):
                 measure(x[: 7 + windows], 8)
 
 
+@pytest.mark.parametrize("kind", ["normal", "xp-period-3"])
+def test_census_above_the_cap_takes_np_unique_up_to_one_stabilized_block(
+        kind, monkeypatch):
+    # at most 5 * 8! windows the census is one block under both rules and
+    # counts with np.unique; one window more, the stabilized rule makes two
+    # blocks and both rules count in L! rows
+    block = 5 * math.factorial(8)
+    x = _MANY_BLOCK_SERIES[kind](np.random.default_rng(29))[: 7 + block + 1]
+    unique, calls = np.unique, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    for windows in (block - 1, block, block + 1):
+        for stabilized in (True, False):
+            calls.clear()
+            assert_census_equals_row_major(x[: 7 + windows], 8, stabilized)
+            assert calls == ([windows] if windows <= block else [])
+
+
 def test_a_fig4_sized_run_tables_no_order_above_the_cap():
     ordinal._names.cache_clear()
     x = generate(ProcessSpec("xp", length=50_000, seed=3, period=2))

@@ -1,5 +1,6 @@
 import math
 import signal
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -374,6 +375,20 @@ def test_xp_period_beyond_the_series_takes_no_period_sized_table():
     assert far.tobytes() == near.tobytes()
 
 
+def test_xp_delta_whose_series_would_overflow_is_refused():
+    # only min(period, length) phases are reached, so delta times that
+    # bounds the largest sample; 1e308 at period 3 overflowed to inf
+    largest = math.nextafter(sys.float_info.max / 3, 0.0)
+    x = generate(ProcessSpec("xp", length=5, seed=1, period=3, delta=largest))
+    assert np.all(np.isfinite(x)) and x.max() > largest
+    for refused in (math.nextafter(largest, math.inf), 1e308):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ProcessSpec("xp", length=5, period=3, delta=refused)
+    # a period beyond the series reaches only length phases
+    x = generate(ProcessSpec("xp", length=5, seed=1, period=10**21, delta=1e300))
+    assert np.all(np.isfinite(x)) and x.max() > 3e300
+
+
 def modulo_xp_series(spec: ProcessSpec) -> np.ndarray:
     """The xp series with its phase taken modulo the period at every sample."""
     p, delta = spec.period, 1.0 if spec.delta is None else spec.delta
@@ -388,11 +403,12 @@ def modulo_xp_series(spec: ProcessSpec) -> np.ndarray:
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_xp_tiled_phase_equals_the_modulo_phase(p):
-    for residues in (None, (0,), tuple(range(p))):
-        for length in (1, p - 1, p, p + 1, 50_001):
-            spec = ProcessSpec("xp", length=length, seed=length, period=p,
-                               noiseless_residues=residues)
-            assert generate(spec).tobytes() == modulo_xp_series(spec).tobytes()
+    for residues in (None, (0,), tuple(range(p)), (p - 1, 0, p - 1)):
+        for delta in (None, 0.37, 3.0):
+            for length in (1, p - 1, p, p + 1, 50_001):
+                spec = ProcessSpec("xp", length=length, seed=length, period=p,
+                                   delta=delta, noiseless_residues=residues)
+                assert generate(spec).tobytes() == modulo_xp_series(spec).tobytes()
 
 
 def test_xp_alternating_has_both_two_patterns():
