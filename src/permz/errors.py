@@ -67,6 +67,8 @@ def _instance(value, kind: type, what: str):
 def _reals(values, what: str) -> np.ndarray:
     """``values`` as a float64 array, or ValidationError where numpy refuses them."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        if not np.iscomplexobj(values):  # numpy would drop the imaginary parts
+            return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must hold real numbers") from None
+        pass
+    raise ValidationError(f"{what} must hold real numbers")

@@ -314,15 +314,11 @@ def _census(pos: np.ndarray, L: int, stabilized: bool = False) -> tuple:
         return codes[order], counts[order]
     block = 5 * m if stabilized else n
     n_blocks = -(-n // block)
-    # (code, block) cells, so that each code's running count is contiguous;
-    # a lone block needs no block index
-    cell = pos
+    cell = pos  # block-major cells, counted into a C-ordered (code, block) table
     if n_blocks > 1:
-        grid = np.empty((n_blocks, block), dtype=np.intp)  # the last block padded
-        cell = grid.reshape(-1)[:n]
-        np.multiply(pos, n_blocks, out=cell, dtype=np.intp)
-        grid += np.arange(n_blocks)[:, None]
-    cum = np.bincount(cell, minlength=m * n_blocks).reshape(m, n_blocks).cumsum(axis=1)
+        cell = np.repeat(np.arange(0, m * n_blocks, m), block)[:n]
+        cell += pos
+    cum = np.bincount(cell, minlength=m * n_blocks).reshape(n_blocks, m).T.copy().cumsum(1)
     used = np.minimum(np.arange(1, n_blocks + 1) * block, n)  # windows after each block
     drift = np.abs(np.diff(cum / used, axis=1)).max(axis=0)
     settled = np.flatnonzero(drift <= 1e-4)

@@ -32,6 +32,16 @@ def test_public_api_is_pinned():
         assert hasattr(permz, name), name
 
 
+def test_every_source_file_parses_as_python_3_10():
+    """pyproject claims Python >= 3.10.  This checks the grammar of every
+    file only: a call to a library function added after 3.10 still passes."""
+    top = Path(__file__).resolve().parents[1]
+    paths = [p for d in ("src", "tests", "perfbench") for p in (top / d).rglob("*.py")]
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def _load_bench_module(name: str, monkeypatch):
     """Execute ``perfbench/<name>.py`` as a module, without touching perfbench."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
@@ -120,7 +130,8 @@ _ENTRIES = [
      lambda v: permz.forbidden_patterns_of_map(_LOGISTIC, 3, v, 10), True),
 ]
 _JUNK = {"str": "a", "None": None, "nan": math.nan, "2.5": 2.5,
-         "2-d": [[1.0, 2.0]], "strs": ["a", "b", "c"]}
+         "2-d": [[1.0, 2.0]], "strs": ["a", "b", "c"],
+         "complex": np.array([0.5 + 1j, 0.25, 0.25])}
 _HUGE = {"10**400": 10**400, "2**63": 2**63}  # data, orders and lengths: no huge count
 
 

@@ -598,6 +598,11 @@ def test_census_of_position_codes_equals_the_row_major_census_at_length(kind):
     for L in (2, 3, 4, 5, 6, 7, 9):
         for stabilized in (True, False):
             assert_census_equals_row_major(x, L, stabilized)
+    # L = 7 over 2 full blocks of 5 * 7! windows and 9,601 more
+    x = generate(ProcessSpec(kind, length=60_007, seed=17,
+                             **_KIND_PARAMETERS.get(kind, {})))
+    for stabilized in (True, False):
+        assert_census_equals_row_major(x, 7, stabilized)
 
 
 _MANY_BLOCK_SERIES = {
